@@ -62,7 +62,12 @@ class AlgebraShape:
 
 @dataclass(frozen=True, eq=False)
 class Element:
-    """An element ``(a_1, ..., a_k)``, one dense complex matrix per block."""
+    """An element ``(a_1, ..., a_k)``, one dense complex matrix per block.
+
+    Elements are immutable: the blocks are private read-only copies. So each
+    block's eigenvalues are computed at most once, and the clustered
+    spectrum once per ``Tolerances``, then cached on the element.
+    """
 
     shape: AlgebraShape
     blocks: tuple[np.ndarray, ...]
@@ -78,6 +83,17 @@ class Element:
                     f"block of dim {b.shape[0]} does not match shape dim {d}")
             b.flags.writeable = False
         object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "_block_eigs", None)
+        object.__setattr__(self, "_spectra", {})
+
+    def block_eigs(self) -> tuple[np.ndarray, ...]:
+        """Eigenvalues of each block, computed on first use."""
+        if self._block_eigs is None:
+            values = tuple(eig(b) for b in self.blocks)
+            for v in values:
+                v.flags.writeable = False
+            object.__setattr__(self, "_block_eigs", values)
+        return self._block_eigs
 
     def _check_same(self, other: "Element"):
         if self.shape != other.shape:
@@ -155,7 +171,7 @@ def inverse(a: Element, tols: Tolerances = DEFAULT_TOLS) -> Element:
 
 
 def _all_eigs(a: Element) -> np.ndarray:
-    return np.concatenate([eig(b) for b in a.blocks])
+    return np.concatenate(a.block_eigs())
 
 
 def tau_of(a: Element, tols: Tolerances = DEFAULT_TOLS) -> float:
@@ -171,8 +187,12 @@ def spectrum(a: Element, tols: Tolerances = DEFAULT_TOLS) -> ClusteredSpectrum:
     The union of block spectra is clustered at the element's tolerance tau;
     a representative within tau of 0 is snapped to exactly 0. In the infinite
     ambient, 0 is adjoined with count 0 when no block eigenvalue sits there
-    (the count-0 convention marks the ambient-forced point).
+    (the count-0 convention marks the ambient-forced point). The result is
+    cached on ``a`` per ``tols``.
     """
+    cached = a._spectra.get(tols)
+    if cached is not None:
+        return cached
     values = _all_eigs(a)
     rho = float(np.max(np.abs(values))) if values.size else 0.0
     tau = tols.tau(rho)
@@ -187,7 +207,9 @@ def spectrum(a: Element, tols: Tolerances = DEFAULT_TOLS) -> ClusteredSpectrum:
     elif a.shape.is_infinite:
         points.append((0.0 + 0.0j, 0))
     points.sort(key=lambda p: (p[0].real, p[0].imag))
-    return ClusteredSpectrum(points=tuple(points), tol=tau)
+    spec = ClusteredSpectrum(points=tuple(points), tol=tau)
+    a._spectra[tols] = spec
+    return spec
 
 
 def nonzero_spectrum(a: Element, tols: Tolerances = DEFAULT_TOLS) -> ClusteredSpectrum:
@@ -231,15 +253,23 @@ class ProjectionElement:
         return ProjectionElement(self.underlying + other.underlying)
 
 
-def riesz_element(a: Element, center: complex, radius: float, nodes: int = 64,
-                  tols: Tolerances = DEFAULT_TOLS) -> ProjectionElement:
-    """Blockwise spectral projector of ``a`` for the disk around ``center``."""
-    blocks = tuple(
+def riesz_blocks(a: Element, center: complex, radius: float, nodes: int,
+                 tols: Tolerances = DEFAULT_TOLS) -> tuple[np.ndarray, ...]:
+    """Per-block spectral projectors of ``a`` for the disk around ``center``;
+    each contour's clearance check uses the block's cached eigenvalues."""
+    return tuple(
         riesz_projection(b, center, radius, nodes,
                          idem_tol=tols.projection_idem,
                          trace_tol=tols.projection_trace,
-                         clearance=tols.contour_clearance)
-        for b in a.blocks)
+                         clearance=tols.contour_clearance,
+                         values=values)
+        for b, values in zip(a.blocks, a.block_eigs()))
+
+
+def riesz_element(a: Element, center: complex, radius: float, nodes: int = 64,
+                  tols: Tolerances = DEFAULT_TOLS) -> ProjectionElement:
+    """Blockwise spectral projector of ``a`` for the disk around ``center``."""
+    blocks = riesz_blocks(a, center, radius, nodes, tols)
     return ProjectionElement(Element(a.shape, blocks))
 
 

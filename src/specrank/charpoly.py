@@ -21,7 +21,8 @@ from .algebra import (Element, ProjectionElement, identity, is_singular, norm,
                       zero)
 from .config import DEFAULT_TOLS, Tolerances
 from .jsonio import complex_to_pair
-from .multiplicity import multiplicities, spectral_gap
+from .multiplicity import (MultiplicityRecord, UnstableMultiplicityError,
+                           multiplicities, spectral_gap)
 from .rank import (RankCertificate, UncertifiedRankError, is_maximal,
                    rank_oracle, spectral_rank)
 
@@ -93,8 +94,20 @@ def char_poly(a: Element, rng: np.random.Generator,
         raise UncertifiedRankError(
             f"rank {cert.rank} below oracle {cert.oracle_rank}")
     records = multiplicities(a, rng, cert, with_riesz=False, tols=tols)
+    return char_poly_from_records(records, cert.rank)
+
+
+def char_poly_from_records(records: list[MultiplicityRecord],
+                           source_rank: int) -> CharPoly:
+    """One factor per record; a counting multiplicity below 1 means the
+    perturbed spectra never showed the value, so the count is unusable."""
+    for rec in records:
+        if rec.m_counting < 1:
+            raise UnstableMultiplicityError(
+                f"counting multiplicity {rec.m_counting} at {rec.value}",
+                histogram=rec.votes)
     factors = tuple((rec.value, rec.m_counting) for rec in records)
-    return CharPoly(factors=factors, source_rank=cert.rank)
+    return CharPoly(factors=factors, source_rank=source_rank)
 
 
 def char_poly_maximal(a: Element, tols: Tolerances = DEFAULT_TOLS) -> CharPoly:

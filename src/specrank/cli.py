@@ -17,7 +17,8 @@ import numpy as np
 from .algebra import (FINITE, INFINITE_SOCLE, AlgebraShape, Element, norm,
                       random_element, random_socle_element, zero)
 from .charpoly import (approximation_sequence, cayley_hamilton_residual,
-                       char_poly, det_plus_one, eval_element, naive_det_demo)
+                       char_poly, char_poly_from_records, det_plus_one,
+                       eval_element, naive_det_demo)
 from .config import DEFAULT_TOLS, Tolerances
 from .jsonio import complex_to_pair
 from .multiplicity import (SpectrumDomainError, UnstableMultiplicityError,
@@ -211,9 +212,7 @@ def _analyze(element: Element, rng: np.random.Generator, tols: Tolerances) -> di
     records = multiplicities(element, rng, cert, with_riesz=True, tols=tols)
     poly = None
     if cert.certified:
-        from .charpoly import CharPoly
-        poly = CharPoly(factors=tuple((r.value, r.m_counting) for r in records),
-                        source_rank=cert.rank)
+        poly = char_poly_from_records(records, cert.rank)
     residual = cayley_hamilton_residual(element, rng, cert, poly, tols)
     tr = sum(r.value * r.m_counting for r in records)
     det1 = det_plus_one(element, rng, cert, poly, tols)

@@ -19,11 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .algebra import Element, identity, norm, random_element, spectrum
+from .algebra import (Element, count_nonzero_spectrum, identity, norm,
+                      random_element, riesz_blocks, spectrum)
 from .config import DEFAULT_TOLS, Tolerances
 from .jsonio import complex_to_pair
-from .numkernel import riesz_projection
-from .rank import RankCertificate, UncertifiedRankError, assumes_rank_at, rank_oracle, spectral_rank
+from .rank import RankCertificate, UncertifiedRankError, rank_oracle, spectral_rank
 
 
 class SpectrumDomainError(Exception):
@@ -88,11 +88,13 @@ def default_disk_radius(a: Element) -> float:
 
 def _accepted_witness(a: Element, eps: float, certificate: RankCertificate,
                       rng: np.random.Generator, tols: Tolerances) -> Element:
+    """Product ``x*a`` for the first witness ``x = 1 + eps*G`` at which ``a``
+    assumes its certified rank."""
     one = identity(a.shape)
     for _ in range(config.CONDITION_RETRIES):
-        x = one + eps * random_element(a.shape, rng)
-        if assumes_rank_at(a, x, certificate, tols):
-            return x
+        xa = (one + eps * random_element(a.shape, rng)) * a
+        if count_nonzero_spectrum(xa, tols) == certificate.rank:
+            return xa
     raise UnstableMultiplicityError(
         f"no rank-preserving witness found in {config.CONDITION_RETRIES} draws")
 
@@ -128,8 +130,8 @@ def multiplicities(a: Element, rng: np.random.Generator,
     votes: list[list[int]] = [[] for _ in centers]
 
     def draw():
-        x = _accepted_witness(a, eps, cert, rng, tols)
-        for i, c in enumerate(_count_in_disks(x * a, centers, radius, tols)):
+        xa = _accepted_witness(a, eps, cert, rng, tols)
+        for i, c in enumerate(_count_in_disks(xa, centers, radius, tols)):
             votes[i].append(c)
 
     for _ in range(config.VOTE_SAMPLES):
@@ -190,11 +192,7 @@ def multiplicity_riesz(a: Element, lam: complex,
     nodes = tols.contour_nodes if nodes is None else nodes
 
     total = 0.0 + 0.0j
-    for block in a.blocks:
-        p = riesz_projection(block, nearest, radius, nodes,
-                             idem_tol=tols.projection_idem,
-                             trace_tol=tols.projection_trace,
-                             clearance=tols.contour_clearance)
+    for p in riesz_blocks(a, nearest, radius, nodes, tols):
         total += np.trace(p)
     m = round(total.real)
     if abs(total - m) > tols.projection_trace:

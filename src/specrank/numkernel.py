@@ -39,7 +39,7 @@ def as_matrix(m) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] == 0:
         raise ValueError("empty matrices are not supported")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
 
@@ -184,14 +184,17 @@ def classical_charpoly(m) -> np.ndarray:
 
 def riesz_projection(m, center: complex, radius: float, nodes: int = 64,
                      idem_tol: float = 1e-8, trace_tol: float = 1e-6,
-                     clearance: float = 0.1) -> np.ndarray:
+                     clearance: float = 0.1, values=None) -> np.ndarray:
     """Spectral projector ``(2 pi i)^-1 \\oint (zeta I - m)^-1 d zeta``.
 
     The contour is the circle ``|zeta - center| = radius`` discretized by the
     trapezoidal rule, which converges exponentially for the analytic
-    resolvent. The result must pass an idempotency check and have trace
-    within ``trace_tol`` of an integer (the enclosed algebraic multiplicity);
-    otherwise the contour is rejected as too close to the spectrum.
+    resolvent. The resolvents at all nodes are independent, so they are
+    solved as one stacked system. The result must pass an idempotency check
+    and have trace within ``trace_tol`` of an integer (the enclosed algebraic
+    multiplicity); otherwise the contour is rejected as too close to the
+    spectrum. ``values`` are the eigenvalues of ``m`` for the clearance
+    check when the caller already has them; they are computed otherwise.
     """
     a = as_matrix(m)
     if radius <= 0:
@@ -199,7 +202,7 @@ def riesz_projection(m, center: complex, radius: float, nodes: int = 64,
     if nodes < 16:
         raise ValueError("need at least 16 quadrature nodes")
 
-    values = eig(a)
+    values = eig(a) if values is None else values
     if values.size:
         dist_to_circle = np.abs(np.abs(values - center) - radius)
         if float(np.min(dist_to_circle)) < clearance * radius:
@@ -207,14 +210,16 @@ def riesz_projection(m, center: complex, radius: float, nodes: int = 64,
                 "contour too close to spectrum: eigenvalue within "
                 f"{clearance:g}*radius of the circle")
 
-    n = a.shape[0]
-    eye = np.eye(n, dtype=np.complex128)
-    acc = np.zeros_like(a)
-    theta = 2.0 * np.pi * np.arange(nodes) / nodes
-    for t in theta:
-        w = radius * np.exp(1j * t)
-        acc += w * np.linalg.solve((center + w) * eye - a, eye)
-    p = acc / nodes
+    eye = np.eye(a.shape[0], dtype=np.complex128)
+    w = radius * np.exp(1j * (2.0 * np.pi * np.arange(nodes) / nodes))
+    try:
+        r = np.linalg.solve((center + w)[:, None, None] * eye - a, eye)
+    except np.linalg.LinAlgError as exc:
+        raise ContourError(f"contour node on the spectrum: {exc}") from exc
+    # running sum in node order, the rounding of a node-by-node loop; a
+    # reduction such as .sum(0) rounds differently. Adding 0.0 turns an
+    # all-(-0.0) sum into the +0.0 a loop starting from zeros gives.
+    p = (np.cumsum(w[:, None, None] * r, axis=0)[-1] + 0.0) / nodes
 
     defect = frobenius(p @ p - p)
     if defect > idem_tol * (1.0 + frobenius(p)):

@@ -77,14 +77,15 @@ def spectral_rank(a: Element, samples: int = config.RANK_SAMPLES,
     oracle = rank_oracle(a, tols)
 
     best = -1
-    best_witness = None
+    best_witness = best_product = None
     drawn = 0
     failures = 0
     budget = max(samples, escalate_to)
     while drawn < samples or (best < oracle and drawn < budget):
         x = random_element(a.shape, rng)
+        xa = x * a
         try:
-            count = count_nonzero_spectrum(x * a, tols)
+            count = count_nonzero_spectrum(xa, tols)
         except ConvergenceError:
             failures += 1
             if failures > 2 * budget:
@@ -92,13 +93,13 @@ def spectral_rank(a: Element, samples: int = config.RANK_SAMPLES,
             continue
         drawn += 1
         if count > best:
-            best, best_witness = count, x
+            best, best_witness, best_product = count, x, xa
         if best == oracle and drawn >= samples:
             break
 
-    product = best_witness * a
-    tau = tau_of(product, tols)
-    fragile = any(abs(v) <= 10.0 * tau for v in nonzero_spectrum(product, tols).values())
+    tau = tau_of(best_product, tols)
+    fragile = any(abs(v) <= 10.0 * tau
+                  for v in nonzero_spectrum(best_product, tols).values())
     return RankCertificate(rank=best, witness=best_witness, samples_used=drawn,
                            oracle_rank=oracle, certified=(best == oracle),
                            fragile=fragile)

@@ -5,14 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import specrank.algebra as algebra_module
 from specrank.algebra import (FINITE, INFINITE_SOCLE, AlgebraShape, Element,
                               NotInvertibleError, ProjectionElement,
                               ShapeMismatchError, allclose, compressed_view,
                               count_nonzero_spectrum, ginibre, identity,
                               inverse, nonzero_spectrum, norm, random_element,
                               random_socle_element, riesz_element, spectrum,
-                              zero)
-from specrank.numkernel import hausdorff, mat_rank
+                              tau_of, zero)
+from specrank.config import DEFAULT_TOLS
+from specrank.multiplicity import multiplicity_riesz, spectral_gap
+from specrank.numkernel import eig, hausdorff, mat_rank
 from conftest import make_rng
 
 M3 = AlgebraShape(dims=(3,))
@@ -275,3 +278,38 @@ class TestInfiniteAmbientRules:
         p = ProjectionElement(diag_element(shape, [1.0, 1.0, 0.0]))
         view = compressed_view(p)
         assert view.shape.ambient == FINITE
+
+
+class TestSpectrumCache:
+    def test_eig_runs_once_per_block(self, monkeypatch):
+        calls = []
+
+        def counting_eig(m):
+            calls.append(m)
+            return eig(m)
+
+        monkeypatch.setattr(algebra_module, "eig", counting_eig)
+        a = diag_element(M2_M1, [1.0, 3.0], [0.0])
+        coarse = DEFAULT_TOLS.with_overrides(cluster_rel=1e-6)
+        for tols in (DEFAULT_TOLS, coarse):
+            spectrum(a, tols)
+            nonzero_spectrum(a, tols)
+            tau_of(a, tols)
+            spectral_gap(a, tols)
+            assert multiplicity_riesz(a, 1.0, tols=tols) == 1
+            assert multiplicity_riesz(a, 3.0, tols=tols) == 1
+            riesz_element(a, 3.0, 1.0, tols=tols)
+        assert len(calls) == len(a.blocks)
+
+    def test_spectrum_cached_per_tolerances(self):
+        a = diag_element(M3, [1.0, 1.0 + 1e-7, 0.0])
+        fine = spectrum(a)
+        assert spectrum(a) is fine
+        coarse = spectrum(a, DEFAULT_TOLS.with_overrides(cluster_rel=1e-6))
+        assert coarse is not fine
+        assert len(fine.points) == 3 and len(coarse.points) == 2
+
+    def test_cached_eigenvalues_are_read_only(self):
+        a = diag_element(M2_M1, [1.0, 2.0], [3.0])
+        with pytest.raises(ValueError):
+            a.block_eigs()[0][0] = 5.0

@@ -9,9 +9,11 @@ from specrank.algebra import (AlgebraShape, Element, INFINITE_SOCLE,
 from specrank.charpoly import (CharPoly, DiagonalizationError,
                                approximation_sequence,
                                cayley_hamilton_residual, char_poly,
-                               char_poly_maximal, det_plus_one,
+                               char_poly_from_records, char_poly_maximal,
+                               det_plus_one,
                                diagonalize_maximal, eval_element, eval_scalar,
                                naive_det_demo, residual_scale, trace)
+from specrank.multiplicity import MultiplicityRecord, UnstableMultiplicityError
 from specrank.numkernel import classical_charpoly
 from specrank.rank import make_maximal, spectral_rank
 from conftest import make_rng
@@ -57,6 +59,21 @@ class TestCharPolyConstruction:
     def test_nilpotent(self, rng):
         p = char_poly(nilpotent2(), rng)
         assert p.factors == ((0.0 + 0.0j, 2),)
+
+    def test_zero_counting_multiplicity_is_typed_error(self):
+        records = [
+            MultiplicityRecord(value=1.0 + 0j, m_counting=1, m_riesz=None,
+                               disk_radius=0.3, samples=5, votes=((1, 5),)),
+            MultiplicityRecord(value=2.0 + 0j, m_counting=0, m_riesz=None,
+                               disk_radius=0.3, samples=5, votes=((0, 5),))]
+        with pytest.raises(UnstableMultiplicityError) as info:
+            char_poly_from_records(records, source_rank=2)
+        assert info.value.histogram == ((0, 5),)
+        assert char_poly_from_records(records[:1], 1).factors == ((1.0 + 0j, 1),)
+
+    def test_direct_construction_still_validates(self):
+        with pytest.raises(ValueError, match="positive"):
+            CharPoly(factors=((1.0, 0),), source_rank=1)
 
     def test_degree_bounded_by_rank_plus_one(self):
         rng = make_rng(71)

@@ -43,6 +43,16 @@ CAMPAIGN_REPORT_SCHEMA = {
 }
 
 
+JORDAN_3_ROWS = [
+    [[-1.0386219782471777, 0.3112200438604756], [0.1208501235269798, -0.2281653407204283],
+     [0.26134802633804183, -1.3270206756350977]],
+    [[1.8535035918990581, -0.3843826915945844], [0.5150922982014399, 1.2348053204768097],
+     [-0.5660438928906252, 0.8762385353644204]],
+    [[-0.9943540703999671, 0.8803453336195021], [-0.549124570642094, 0.18106618868141633],
+     [0.5235296800457376, -1.5460253643372852]],
+]
+
+
 def write_element_file(path, diag_values):
     n = len(diag_values)
     blocks = [[[[0.0, 0.0] for _ in range(n)] for _ in range(n)]]
@@ -120,6 +130,18 @@ class TestCheck:
 
     def test_missing_file(self, tmp_path):
         assert main(["check", str(tmp_path / "absent.json")]) == 2
+
+    def test_contour_node_on_spectrum_exits_numeric(self, tmp_path, capsys):
+        # S J_3 S^-1 for a nilpotent Jordan block J_3: roundoff splits the
+        # eigenvalue 0 into three points, and a contour node lands exactly on
+        # the spectrum of the block (a singular shifted matrix)
+        data = {"dims": [3], "ambient": "finite", "blocks": [JORDAN_3_ROWS]}
+        element_file = tmp_path / "jordan3.json"
+        element_file.write_text(json.dumps(data))
+        code = main(["check", str(element_file), "--seed", "7",
+                     "--out", str(tmp_path / "report.json")])
+        assert code == 3
+        assert "ContourError" in capsys.readouterr().err
 
 
 class TestCampaign:

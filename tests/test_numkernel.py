@@ -17,6 +17,14 @@ def test_as_matrix_rejects_nonsquare_and_nonfinite():
         as_matrix(np.array([[np.nan, 0], [0, 1]]))
     with pytest.raises(ValueError):
         as_matrix(np.array([[np.inf, 0], [0, 1]]))
+    # nan or inf in the real part, in the imaginary part, and in both
+    for bad in (complex(np.nan, 0.0), complex(-np.inf, 1.0),
+                complex(1.0, np.nan), complex(0.0, np.inf),
+                complex(np.nan, np.nan), complex(np.inf, -np.inf)):
+        m = np.eye(3, dtype=np.complex128)
+        m[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            as_matrix(m)
 
 
 class TestEig:
@@ -140,7 +148,52 @@ class TestClassicalCharpoly:
             np.testing.assert_allclose(coeffs[0], (-1.0) ** n, atol=1e-12)
 
 
+def _riesz_loop_reference(m, center, radius, nodes=64):
+    """Trapezoid-rule projector with one resolvent solve per node."""
+    a = np.asarray(m, dtype=np.complex128)
+    eye = np.eye(a.shape[0], dtype=np.complex128)
+    acc = np.zeros_like(a)
+    for t in 2.0 * np.pi * np.arange(nodes) / nodes:
+        w = radius * np.exp(1j * t)
+        acc += w * np.linalg.solve((center + w) * eye - a, eye)
+    return acc / nodes
+
+
 class TestRieszProjection:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 16])
+    def test_stacked_solve_matches_node_loop_bitwise(self, n):
+        rng = make_rng(100 + n)
+        checked = 0
+        for _ in range(6):
+            m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            values = eig(m)
+            rho = float(np.max(np.abs(values)))
+            contours = [(0.0, 2.0 * rho + 2.0), (complex(values[0]), 0.1),
+                        (complex(values[-1]) + 0.05j, 0.2)]
+            for center, radius in contours:
+                try:
+                    p = riesz_projection(m, center=center, radius=radius)
+                except ContourError:
+                    continue
+                ref = _riesz_loop_reference(m, center, radius)
+                assert np.array_equal(p, ref)
+                checked += 1
+        assert checked >= 6
+
+    def test_given_eigenvalues_drive_clearance_check(self):
+        m = np.diag([1.0, 0.0, 0.0])
+        with_values = riesz_projection(m, center=1.0, radius=0.4, values=eig(m))
+        assert np.array_equal(with_values, riesz_projection(m, center=1.0, radius=0.4))
+        with pytest.raises(ContourError):
+            riesz_projection(m, center=1.0, radius=0.4, values=np.array([1.4]))
+
+    def test_node_on_spectrum_is_contour_error(self):
+        # the clearance check is told the eigenvalue is far away; node 0 sits
+        # exactly on it, so that node's shifted matrix is singular
+        with pytest.raises(ContourError, match="node on the spectrum"):
+            riesz_projection(np.zeros((1, 1)), center=-1.0, radius=1.0,
+                             values=np.array([5.0]))
+
     def test_isolated_eigenvalue(self):
         p = riesz_projection(np.diag([1.0, 0.0, 0.0]), center=1.0, radius=0.4)
         np.testing.assert_allclose(p, np.diag([1.0, 0.0, 0.0]), atol=1e-10)

@@ -3,7 +3,7 @@ import pytest
 from specrank.config import DEFAULT_TOLS
 from specrank.propsuite import (DEFAULT_TRIALS, PROPERTY_NAMES, CampaignSettings,
                                 PropertySpec, ShapePolicy, replay_failure,
-                                run_campaign, run_property)
+                                run_campaign, run_property, run_trial)
 
 SMALL_POLICY = ShapePolicy(max_blocks=3, max_dim=4)
 
@@ -118,3 +118,12 @@ def test_campaign_csv_layout():
         assert name in PROPERTY_NAMES
         assert float(high) > float(low)
         assert int(count) >= 1
+
+
+def test_zero_counting_multiplicity_fails_trial_without_raising():
+    # seed 110, trial 386 draws an element whose counting vote gives a
+    # spectral value multiplicity 0; the trial must fail, not abort the run
+    spec = PropertySpec(name="cayley_hamilton", trials=DEFAULT_TRIALS["cayley_hamilton"])
+    result = run_trial(spec, 110, 386)
+    assert not result.passed
+    assert result.failure["measured"]["error"].startswith("UnstableMultiplicityError")
