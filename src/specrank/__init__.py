@@ -4,8 +4,8 @@ plus seedable verification campaigns for the identities they satisfy."""
 
 from .algebra import (FINITE, INFINITE_SOCLE, AlgebraShape, CompressedView,
                       Element, NotInvertibleError, ProjectionElement,
-                      ShapeMismatchError, compressed_view, identity, inverse,
-                      nonzero_spectrum, norm, random_element,
+                      ShapeMismatchError, ViewError, compressed_view, identity,
+                      inverse, nonzero_spectrum, norm, random_element,
                       random_socle_element, riesz_element, spectrum, zero)
 from .charpoly import (CharPoly, ConvergenceRecord, DiagonalizationError,
                        approximation_sequence, cayley_hamilton_residual,
@@ -18,11 +18,12 @@ from .multiplicity import (MultiplicityRecord, SpectrumDomainError,
                            multiplicity, multiplicity_oracle,
                            multiplicity_riesz, spectral_gap)
 from .numkernel import (ClusteredSpectrum, ContourError, ConvergenceError,
-                        classical_charpoly, cluster, eig, hausdorff, mat_det,
-                        mat_rank, riesz_projection)
+                        SpecrankError, classical_charpoly, cluster, eig,
+                        hausdorff, mat_det, mat_rank, riesz_projection)
 from .propsuite import (CampaignReport, CampaignSettings, PropertyReport,
                         PropertySpec, ShapePolicy, run_campaign, run_property)
-from .rank import (RankCertificate, UncertifiedRankError, assumes_rank_at,
-                   is_maximal, make_maximal, rank_oracle, spectral_rank)
+from .rank import (IllConditionedError, RankCertificate, UncertifiedRankError,
+                   assumes_rank_at, is_maximal, make_maximal, rank_oracle,
+                   spectral_rank)
 
 __version__ = "0.1.0"

@@ -16,8 +16,8 @@ import scipy.linalg
 
 from .config import DEFAULT_TOLS, Tolerances
 from .jsonio import matrix_to_rows, rows_to_matrix
-from .numkernel import (ClusteredSpectrum, as_matrix, cluster, eig, frobenius,
-                        mat_rank, riesz_projection)
+from .numkernel import (ClusteredSpectrum, SpecrankError, as_matrix, cluster,
+                        eig, frobenius, mat_rank, riesz_projection)
 
 FINITE = "finite"
 INFINITE_SOCLE = "infinite"
@@ -32,7 +32,7 @@ class NotInvertibleError(Exception):
     """Raised when inversion is requested for a non-invertible element."""
 
 
-class ViewError(Exception):
+class ViewError(SpecrankError):
     """Raised when a corner compression cannot be constructed."""
 
 
@@ -190,33 +190,46 @@ def spectrum(a: Element, tols: Tolerances = DEFAULT_TOLS) -> ClusteredSpectrum:
     (the count-0 convention marks the ambient-forced point). The result is
     cached on ``a`` per ``tols``.
     """
-    cached = a._spectra.get(tols)
-    if cached is not None:
-        return cached
-    values = _all_eigs(a)
+    spec = a._spectra.get(tols)
+    if spec is None:
+        spec = a._spectra[tols] = _spectrum_of(_all_eigs(a), a.shape, tols)
+    return spec
+
+
+def _spectrum_of(values: np.ndarray, shape: AlgebraShape,
+                 tols: Tolerances) -> ClusteredSpectrum:
+    """``spectrum`` of an element of ``shape`` whose block eigenvalues,
+    concatenated, are ``values``."""
     rho = float(np.max(np.abs(values))) if values.size else 0.0
     tau = tols.tau(rho)
-    spec = cluster(values, tau)
-
-    points = list(spec.points)
+    points = list(cluster(values, tau).points)
     # snap the representative nearest 0 to exactly 0 when within tau
     near = [(abs(v), i) for i, (v, _) in enumerate(points) if abs(v) <= tau]
     if near:
         _, i = min(near)
         points[i] = (0.0 + 0.0j, points[i][1])
-    elif a.shape.is_infinite:
+    elif shape.is_infinite:
         points.append((0.0 + 0.0j, 0))
     points.sort(key=lambda p: (p[0].real, p[0].imag))
-    spec = ClusteredSpectrum(points=tuple(points), tol=tau)
-    a._spectra[tols] = spec
-    return spec
+    return ClusteredSpectrum(points=tuple(points), tol=tau)
+
+
+def witness_spectra(a: Element, witnesses,
+                    tols: Tolerances = DEFAULT_TOLS) -> list[ClusteredSpectrum]:
+    """``spectrum(x * a, tols)`` for each witness ``x``, given as a tuple of
+    raw blocks, without building the products as elements: block ``j`` of
+    all products is one stacked matmul and one stacked ``eig`` call, which
+    also validates the products. Raises ``ConvergenceError`` when any
+    product's eigenvalue iteration fails."""
+    per_block = [eig(np.stack([x[j] for x in witnesses]) @ b)
+                 for j, b in enumerate(a.blocks)]
+    return [_spectrum_of(np.concatenate([v[i] for v in per_block]), a.shape, tols)
+            for i in range(len(witnesses))]
 
 
 def nonzero_spectrum(a: Element, tols: Tolerances = DEFAULT_TOLS) -> ClusteredSpectrum:
     """Spectrum with values of modulus at most tau removed."""
-    spec = spectrum(a, tols)
-    pts = tuple((v, c) for v, c in spec.points if abs(v) > spec.tol)
-    return ClusteredSpectrum(points=pts, tol=spec.tol)
+    return spectrum(a, tols).nonzero()
 
 
 def count_nonzero_spectrum(a: Element, tols: Tolerances = DEFAULT_TOLS) -> int:
@@ -337,8 +350,13 @@ def ginibre(rng: np.random.Generator, n: int, m: int | None = None) -> np.ndarra
     return g / np.sqrt(2.0 * n)
 
 
+def random_blocks(shape: AlgebraShape, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+    """One Ginibre matrix per block, drawn in block order."""
+    return tuple(ginibre(rng, d) for d in shape.dims)
+
+
 def random_element(shape: AlgebraShape, rng: np.random.Generator) -> Element:
-    return Element(shape, tuple(ginibre(rng, d) for d in shape.dims))
+    return Element(shape, random_blocks(shape, rng))
 
 
 def random_socle_element(shape: AlgebraShape, target_ranks, rng: np.random.Generator) -> Element:

@@ -23,11 +23,12 @@ from .config import DEFAULT_TOLS, Tolerances
 from .jsonio import complex_to_pair
 from .multiplicity import (MultiplicityRecord, UnstableMultiplicityError,
                            multiplicities, spectral_gap)
-from .rank import (RankCertificate, UncertifiedRankError, is_maximal,
-                   rank_oracle, spectral_rank)
+from .numkernel import SpecrankError
+from .rank import (RankCertificate, is_maximal, rank_oracle, require_certified,
+                   spectral_rank)
 
 
-class DiagonalizationError(Exception):
+class DiagonalizationError(SpecrankError):
     """Raised when a spectral decomposition fails its verification checks."""
 
     def __init__(self, msg, diagnostics=None):
@@ -90,9 +91,7 @@ def char_poly(a: Element, rng: np.random.Generator,
               tols: Tolerances = DEFAULT_TOLS) -> CharPoly:
     """One factor per distinct spectral value, multiplicities by counting."""
     cert = certificate or spectral_rank(a, rng=rng, tols=tols)
-    if not cert.certified:
-        raise UncertifiedRankError(
-            f"rank {cert.rank} below oracle {cert.oracle_rank}")
+    require_certified(cert)
     records = multiplicities(a, rng, cert, with_riesz=False, tols=tols)
     return char_poly_from_records(records, cert.rank)
 
@@ -293,9 +292,7 @@ def approximation_sequence(a: Element, steps: int, lambda0: complex,
     if steps < 3:
         raise ValueError("need at least 3 steps")
     cert = certificate or spectral_rank(a, rng=rng, tols=tols)
-    if not cert.certified:
-        raise UncertifiedRankError(
-            f"rank {cert.rank} below oracle {cert.oracle_rank}")
+    require_certified(cert)
     p_ref = char_poly(a, rng, cert, tols)
     ref_val = eval_scalar(p_ref, lambda0)
     one = identity(a.shape)

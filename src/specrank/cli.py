@@ -21,20 +21,16 @@ from .charpoly import (approximation_sequence, cayley_hamilton_residual,
                        eval_element, naive_det_demo)
 from .config import DEFAULT_TOLS, Tolerances
 from .jsonio import complex_to_pair
-from .multiplicity import (SpectrumDomainError, UnstableMultiplicityError,
-                           multiplicities)
-from .numkernel import ContourError, ConvergenceError, classical_charpoly
+from .multiplicity import multiplicities
+from .numkernel import SpecrankError, classical_charpoly
 from .propsuite import (PROPERTY_NAMES, CampaignSettings, ShapePolicy,
                         run_campaign)
-from .rank import UncertifiedRankError, make_maximal, spectral_rank
+from .rank import make_maximal, spectral_rank
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
-
-_NUMERIC_ERRORS = (ConvergenceError, ContourError, UnstableMultiplicityError,
-                   UncertifiedRankError, SpectrumDomainError)
 
 DEMO_NAMES = ("m3_example", "zero_example", "c3_naive_det", "ch_walkthrough")
 
@@ -391,7 +387,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _NUMERIC_ERRORS as exc:
+    except SpecrankError as exc:
         print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -19,18 +19,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .algebra import (Element, count_nonzero_spectrum, identity, norm,
-                      random_element, riesz_blocks, spectrum)
+from .algebra import (Element, norm, random_blocks, riesz_blocks, spectrum,
+                      witness_spectra)
 from .config import DEFAULT_TOLS, Tolerances
 from .jsonio import complex_to_pair
-from .rank import RankCertificate, UncertifiedRankError, rank_oracle, spectral_rank
+from .numkernel import SpecrankError
+from .rank import RankCertificate, rank_oracle, require_certified, spectral_rank
 
 
-class SpectrumDomainError(Exception):
+class SpectrumDomainError(SpecrankError):
     """Raised when a multiplicity is requested at a non-spectral point."""
 
 
-class UnstableMultiplicityError(Exception):
+class UnstableMultiplicityError(SpecrankError):
     """Raised when perturbation votes do not settle on a single count."""
 
     def __init__(self, msg, histogram=None):
@@ -86,24 +87,6 @@ def default_disk_radius(a: Element) -> float:
     return norm(a) + 1.0
 
 
-def _accepted_witness(a: Element, eps: float, certificate: RankCertificate,
-                      rng: np.random.Generator, tols: Tolerances) -> Element:
-    """Product ``x*a`` for the first witness ``x = 1 + eps*G`` at which ``a``
-    assumes its certified rank."""
-    one = identity(a.shape)
-    for _ in range(config.CONDITION_RETRIES):
-        xa = (one + eps * random_element(a.shape, rng)) * a
-        if count_nonzero_spectrum(xa, tols) == certificate.rank:
-            return xa
-    raise UnstableMultiplicityError(
-        f"no rank-preserving witness found in {config.CONDITION_RETRIES} draws")
-
-
-def _count_in_disks(xa: Element, centers, radius: float, tols: Tolerances) -> list[int]:
-    points = spectrum(xa, tols).values()
-    return [sum(1 for p in points if abs(p - c) <= radius) for c in centers]
-
-
 def multiplicities(a: Element, rng: np.random.Generator,
                    certificate: RankCertificate | None = None,
                    with_riesz: bool = True,
@@ -111,14 +94,19 @@ def multiplicities(a: Element, rng: np.random.Generator,
     """Multiplicity records for every distinct spectral value of ``a``.
 
     All disks are counted from the same accepted samples: each sample costs
-    one spectrum computation and votes on every value at once. Five accepted
-    samples decide when unanimous; otherwise sampling escalates to fifteen
-    and the strict majority wins, or the vote is reported unstable.
+    one spectrum computation and votes on every value at once. A witness
+    ``x = 1 + eps*G`` is accepted when ``x*a`` assumes the certified rank;
+    after ``CONDITION_RETRIES`` rejections in a row the vote is unstable.
+    Five accepted samples decide when unanimous; otherwise sampling
+    escalates to fifteen and the strict majority wins, or the vote is
+    reported unstable.
+
+    Witnesses are drawn in rounds of as many as accepted samples are still
+    missing (never more than the rejections left before giving up) and
+    decomposed together by ``witness_spectra``; they never become elements.
     """
     cert = certificate or spectral_rank(a, rng=rng, tols=tols)
-    if not cert.certified:
-        raise UncertifiedRankError(
-            f"rank {cert.rank} below oracle {cert.oracle_rank}")
+    require_certified(cert)
 
     spec = spectrum(a, tols)
     centers = spec.values()
@@ -128,18 +116,33 @@ def multiplicities(a: Element, rng: np.random.Generator,
         gap / (config.EPS_GAP_DIV * (norm(a) + 1.0)), config.EPS_CAP)
 
     votes: list[list[int]] = [[] for _ in centers]
+    one = [np.eye(d, dtype=np.complex128) for d in a.shape.dims]
+    scale = complex(eps)
+    rejected = 0
 
-    def draw():
-        xa = _accepted_witness(a, eps, cert, rng, tols)
-        for i, c in enumerate(_count_in_disks(xa, centers, radius, tols)):
-            votes[i].append(c)
+    def collect(wanted: int):
+        nonlocal rejected
+        while wanted:
+            size = min(wanted, config.CONDITION_RETRIES - rejected)
+            witnesses = [tuple(e + scale * g for e, g in zip(one, random_blocks(a.shape, rng)))
+                         for _ in range(size)]
+            for xa_spec in witness_spectra(a, witnesses, tols):
+                if len(xa_spec.nonzero().points) != cert.rank:
+                    rejected += 1
+                    if rejected == config.CONDITION_RETRIES:
+                        raise UnstableMultiplicityError(
+                            "no rank-preserving witness found in "
+                            f"{config.CONDITION_RETRIES} draws")
+                    continue
+                rejected = 0
+                wanted -= 1
+                points = xa_spec.values()
+                for i, c in enumerate(centers):
+                    votes[i].append(sum(1 for p in points if abs(p - c) <= radius))
 
-    for _ in range(config.VOTE_SAMPLES):
-        draw()
-    unanimous = all(len(set(v)) == 1 for v in votes)
-    if not unanimous:
-        for _ in range(config.VOTE_SAMPLES_MAX - config.VOTE_SAMPLES):
-            draw()
+    collect(config.VOTE_SAMPLES)
+    if not all(len(set(v)) == 1 for v in votes):
+        collect(config.VOTE_SAMPLES_MAX - config.VOTE_SAMPLES)
 
     records = []
     for center, vote in zip(centers, votes):

@@ -16,11 +16,16 @@ import numpy as np
 from .jsonio import complex_to_pair, matrix_to_rows, pair_to_complex, rows_to_matrix
 
 
-class ConvergenceError(Exception):
+class SpecrankError(Exception):
+    """Base of the typed numeric failures: each one maps to CLI exit 3 and
+    fails one campaign trial instead of aborting the campaign."""
+
+
+class ConvergenceError(SpecrankError):
     """Raised when an eigenvalue iteration fails to converge."""
 
 
-class ContourError(Exception):
+class ContourError(SpecrankError):
     """Raised when a spectral contour is invalid or too close to the spectrum.
 
     Carries the measured idempotency defect when the trapezoid result fails
@@ -34,10 +39,16 @@ class ContourError(Exception):
 
 def as_matrix(m) -> np.ndarray:
     """Validate and normalize a square complex matrix with finite entries."""
+    return _square(m, 2)
+
+
+def _square(m, ndim: int) -> np.ndarray:
+    """``as_matrix`` for ``ndim`` 2; ``ndim`` 3 applies the same checks to a
+    ``(k, n, n)`` stack of matrices."""
     a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim != ndim or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] == 0:
+    if a.shape[-1] == 0:
         raise ValueError("empty matrices are not supported")
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
@@ -49,8 +60,14 @@ def frobenius(m) -> float:
 
 
 def eig(m) -> np.ndarray:
-    """All eigenvalues of ``m``, repeated per algebraic multiplicity."""
-    a = as_matrix(m)
+    """All eigenvalues of ``m``, repeated per algebraic multiplicity.
+
+    A ``(k, n, n)`` stack gives a ``(k, n)`` array from one call that runs
+    the same LAPACK driver on each matrix, so row ``i`` is bitwise the
+    eigenvalues of matrix ``i`` alone. If any matrix fails to converge, the
+    whole call raises.
+    """
+    a = _square(m, 3) if np.ndim(m) == 3 else as_matrix(m)
     try:
         return np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
@@ -78,6 +95,12 @@ class ClusteredSpectrum:
 
     def total(self) -> int:
         return sum(c for _, c in self.points)
+
+    def nonzero(self) -> "ClusteredSpectrum":
+        """The points of modulus above ``tol``."""
+        return ClusteredSpectrum(
+            points=tuple((v, c) for v, c in self.points if abs(v) > self.tol),
+            tol=self.tol)
 
     def count_at(self, z: complex) -> int:
         """Count of the cluster within ``tol`` of ``z`` (0 if none)."""

@@ -18,17 +18,14 @@ from .algebra import (FINITE, INFINITE_SOCLE, AlgebraShape, Element,
                       ProjectionElement, compressed_view, count_nonzero_spectrum,
                       nonzero_spectrum, norm, random_element,
                       random_socle_element, spectrum, tau_of, zero)
-from .charpoly import (DiagonalizationError, approximation_sequence,
-                       cayley_hamilton_residual, char_poly, det_plus_one,
-                       diagonalize_maximal)
+from .charpoly import (approximation_sequence, cayley_hamilton_residual,
+                       char_poly, det_plus_one, diagonalize_maximal)
 from .charpoly import naive_det_demo as _naive_det_demo
 from .config import DEFAULT_TOLS, Tolerances
 from .jsonio import dumps_canonical
-from .multiplicity import (UnstableMultiplicityError, multiplicities,
-                           multiplicity_oracle)
-from .numkernel import (ContourError, ConvergenceError, classical_charpoly,
-                        hausdorff, mat_rank)
-from .rank import UncertifiedRankError, make_maximal, spectral_rank
+from .multiplicity import multiplicities, multiplicity_oracle
+from .numkernel import SpecrankError, classical_charpoly, hausdorff, mat_rank
+from .rank import make_maximal, spectral_rank
 
 
 @dataclass(frozen=True)
@@ -603,9 +600,6 @@ DEFAULT_TRIALS = {
     "naive_det_demo": 1,
 }
 
-_NUMERIC_ERRORS = (ConvergenceError, ContourError, UnstableMultiplicityError,
-                   UncertifiedRankError, DiagonalizationError)
-
 
 def trial_rng(seed: int, name: str, index: int) -> np.random.Generator:
     """Counter-based stream for one trial, independent of execution order."""
@@ -618,7 +612,7 @@ def run_trial(spec: PropertySpec, seed: int, index: int) -> TrialResult:
     rng = trial_rng(seed, spec.name, index)
     try:
         return CHECKERS[spec.name](rng, spec)
-    except _NUMERIC_ERRORS as exc:
+    except SpecrankError as exc:
         return TrialResult(passed=False, residual=FAILURE_RESIDUAL, failure={
             "inputs": {}, "measured": {"error": f"{type(exc).__name__}: {exc}"}})
 

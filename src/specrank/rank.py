@@ -16,13 +16,17 @@ import numpy as np
 
 from . import config
 from .algebra import (AlgebraShape, Element, count_nonzero_spectrum, ginibre,
-                      identity, nonzero_spectrum, random_element, tau_of, zero)
+                      identity, random_blocks, witness_spectra, zero)
 from .config import DEFAULT_TOLS, Tolerances
-from .numkernel import ConvergenceError, mat_rank
+from .numkernel import ConvergenceError, SpecrankError, mat_rank
 
 
-class UncertifiedRankError(Exception):
+class UncertifiedRankError(SpecrankError):
     """Raised when an operation requires a certified rank but has none."""
+
+
+class IllConditionedError(SpecrankError):
+    """Raised when no well-conditioned random similarity is found."""
 
 
 @dataclass(frozen=True)
@@ -30,10 +34,14 @@ class RankCertificate:
     """Outcome of randomized rank certification.
 
     ``rank`` is the best sampled count of distinct nonzero spectral values of
-    ``witness*a``; it never exceeds ``oracle_rank`` (the summed classical
-    block ranks) and the certificate is ``certified`` exactly when the two
-    agree. ``fragile`` flags a witness whose product has a nonzero spectral
-    value within 10 tau of 0, where tolerance flicker could merge it away.
+    ``witness*a`` and ``oracle_rank`` the summed classical block ranks; the
+    certificate is ``certified`` exactly when the two agree. In exact
+    arithmetic ``rank`` never exceeds the oracle, but the two are decided by
+    different cutoffs (spectral tau against relative singular values), so a
+    graded element can land above it: ``diag(1e8, 0.5)`` samples rank 2
+    against oracle 1. ``fragile`` flags a witness whose product has a
+    nonzero spectral value within 10 tau of 0, where tolerance flicker could
+    merge it away.
     """
 
     rank: int
@@ -54,6 +62,25 @@ class RankCertificate:
         }
 
 
+def require_certified(cert: RankCertificate):
+    """Raise ``UncertifiedRankError`` unless ``cert`` is certified."""
+    if not cert.certified:
+        side = "above" if cert.rank > cert.oracle_rank else "below"
+        raise UncertifiedRankError(
+            f"rank {cert.rank} {side} oracle {cert.oracle_rank}")
+
+
+def _spectra_or_errors(a: Element, witnesses, tols: Tolerances) -> list:
+    """``witness_spectra``, with the ``ConvergenceError`` of a witness in
+    place of its spectrum; a failing round is redone one witness at a time."""
+    try:
+        return witness_spectra(a, witnesses, tols)
+    except ConvergenceError as exc:
+        if len(witnesses) == 1:
+            return [exc]
+        return [_spectra_or_errors(a, [x], tols)[0] for x in witnesses]
+
+
 def rank_oracle(a: Element, tols: Tolerances = DEFAULT_TOLS) -> int:
     """Classical rank: sum of blockwise matrix ranks."""
     return sum(mat_rank(b, tols.rank_rel) for b in a.blocks)
@@ -68,7 +95,12 @@ def spectral_rank(a: Element, samples: int = config.RANK_SAMPLES,
     Draws ``samples`` witnesses, keeping the one maximizing the count of
     distinct nonzero spectral values of ``x*a``. If the best count falls
     short of the classical-rank oracle, sampling escalates to ``escalate_to``
-    witnesses before the certificate is flagged uncertified.
+    witnesses before the certificate is flagged uncertified. A witness whose
+    eigenvalue iteration fails is skipped and replaced by the next draw.
+
+    The first ``samples`` draws always happen, so they are decomposed as one
+    round (``witness_spectra``); each escalation draw can end the loop, so
+    it is a round of its own. Only the best witness becomes an ``Element``.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -77,31 +109,27 @@ def spectral_rank(a: Element, samples: int = config.RANK_SAMPLES,
     oracle = rank_oracle(a, tols)
 
     best = -1
-    best_witness = best_product = None
-    drawn = 0
-    failures = 0
+    best_witness = best_spec = None
+    drawn = failures = 0
     budget = max(samples, escalate_to)
     while drawn < samples or (best < oracle and drawn < budget):
-        x = random_element(a.shape, rng)
-        xa = x * a
-        try:
-            count = count_nonzero_spectrum(xa, tols)
-        except ConvergenceError:
-            failures += 1
-            if failures > 2 * budget:
-                raise
-            continue
-        drawn += 1
-        if count > best:
-            best, best_witness, best_product = count, x, xa
-        if best == oracle and drawn >= samples:
-            break
+        witnesses = [random_blocks(a.shape, rng) for _ in range(max(samples - drawn, 1))]
+        for x, spec in zip(witnesses, _spectra_or_errors(a, witnesses, tols)):
+            if isinstance(spec, ConvergenceError):
+                failures += 1
+                if failures > 2 * budget:
+                    raise spec
+                continue
+            drawn += 1
+            count = len(spec.nonzero().points)
+            if count > best:
+                best, best_witness, best_spec = count, x, spec
 
-    tau = tau_of(best_product, tols)
-    fragile = any(abs(v) <= 10.0 * tau
-                  for v in nonzero_spectrum(best_product, tols).values())
-    return RankCertificate(rank=best, witness=best_witness, samples_used=drawn,
-                           oracle_rank=oracle, certified=(best == oracle),
+    tau = best_spec.tol  # tau_of the best product
+    fragile = any(abs(v) <= 10.0 * tau for v in best_spec.nonzero().values())
+    return RankCertificate(rank=best, witness=Element(a.shape, best_witness),
+                           samples_used=drawn, oracle_rank=oracle,
+                           certified=(best == oracle),
                            fragile=fragile)
 
 
@@ -109,9 +137,7 @@ def assumes_rank_at(a: Element, x: Element,
                     certificate: RankCertificate,
                     tols: Tolerances = DEFAULT_TOLS) -> bool:
     """True when ``x*a`` shows as many distinct nonzero values as rank(a)."""
-    if not certificate.certified:
-        raise UncertifiedRankError(
-            f"rank {certificate.rank} below oracle {certificate.oracle_rank}")
+    require_certified(certificate)
     return count_nonzero_spectrum(x * a, tols) == certificate.rank
 
 
@@ -125,10 +151,14 @@ def is_maximal(a: Element, rng: np.random.Generator | None = None,
 
 def _well_conditioned_similarity(rng: np.random.Generator, n: int,
                                  cond_cap: float = config.SIMILARITY_COND_CAP) -> np.ndarray:
-    while True:
+    """First draw ``1 + G`` with condition number at most ``cond_cap``."""
+    for _ in range(config.CONDITION_RETRIES):
         s = np.eye(n, dtype=np.complex128) + ginibre(rng, n)
         if np.linalg.cond(s) <= cond_cap:
             return s
+    raise IllConditionedError(
+        f"no similarity with condition number <= {cond_cap:g} "
+        f"in {config.CONDITION_RETRIES} draws")
 
 
 def make_maximal(shape: AlgebraShape, nonzero_eigs,

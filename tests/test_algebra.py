@@ -309,6 +309,25 @@ class TestSpectrumCache:
         assert coarse is not fine
         assert len(fine.points) == 3 and len(coarse.points) == 2
 
+    @pytest.mark.parametrize("ambient", [FINITE, INFINITE_SOCLE])
+    def test_witness_spectra_equal_spectra_of_products(self, ambient):
+        rng = make_rng(61)
+        shape = AlgebraShape(dims=(3, 1, 4), ambient=ambient)
+        a = random_socle_element(shape, (2, 1, 0), rng)
+        witnesses = [algebra_module.random_blocks(shape, rng) for _ in range(6)]
+        spectra = algebra_module.witness_spectra(a, witnesses)
+        assert spectra == [spectrum(Element(shape, x) * a) for x in witnesses]
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_witness_spectra_reject_nonfinite_products(self):
+        shape = AlgebraShape(dims=(2,))
+        a = diag_element(shape, [1e308, 1.0])
+        witnesses = [(np.eye(2, dtype=np.complex128),),
+                     (10.0 * np.eye(2, dtype=np.complex128),)]
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            algebra_module.witness_spectra(a, witnesses)
+
     def test_cached_eigenvalues_are_read_only(self):
         a = diag_element(M2_M1, [1.0, 2.0], [3.0])
         with pytest.raises(ValueError):

@@ -3,8 +3,11 @@ import json
 import jsonschema
 import numpy as np
 
-from specrank.algebra import Element, INFINITE_SOCLE
+import specrank.cli as cli
+from specrank.algebra import Element, INFINITE_SOCLE, ViewError
+from specrank.charpoly import DiagonalizationError
 from specrank.cli import main
+from specrank.rank import IllConditionedError
 from specrank.propsuite import PROPERTY_NAMES
 from conftest import make_rng
 
@@ -142,6 +145,27 @@ class TestCheck:
                      "--out", str(tmp_path / "report.json")])
         assert code == 3
         assert "ContourError" in capsys.readouterr().err
+
+
+    def test_rank_above_oracle_exits_numeric(self, tmp_path, capsys):
+        element_file = write_element_file(tmp_path / "graded.json", [1e8, 0.5])
+        code = main(["check", str(element_file), "--seed", "7",
+                     "--out", str(tmp_path / "report.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "UncertifiedRankError: rank 2 above oracle 1" in err
+
+    def test_every_typed_error_exits_numeric(self, tmp_path, monkeypatch, capsys):
+        element_file = write_element_file(tmp_path / "a.json", [1.0, 0.0])
+        for error in (DiagonalizationError("no resolution"),
+                      ViewError("empty corner"),
+                      IllConditionedError("no similarity")):
+            def failing(*args, exc=error):
+                raise exc
+
+            monkeypatch.setattr(cli, "_analyze", failing)
+            assert main(["check", str(element_file)]) == 3
+            assert type(error).__name__ in capsys.readouterr().err
 
 
 class TestCampaign:

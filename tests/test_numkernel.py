@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specrank.numkernel import (ClusteredSpectrum, ContourError, as_matrix,
-                                classical_charpoly, cluster, eig, frobenius,
+from specrank.numkernel import (ClusteredSpectrum, ContourError,
+                                ConvergenceError, as_matrix, classical_charpoly, cluster, eig, frobenius,
                                 hausdorff, mat_det, mat_rank, matrix_from_json,
                                 matrix_to_json, riesz_projection)
 from conftest import make_rng
@@ -49,6 +49,34 @@ class TestEig:
             m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             rho = max(float(np.max(np.abs(eig(m)))), 1.0)
             assert hausdorff(eig(m), eig(m.T)) <= 1e-7 * rho
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_stack_rows_match_single_calls_bitwise(self, n):
+        rng = make_rng(300 + n)
+        stack = rng.standard_normal((5, n, n)) + 1j * rng.standard_normal((5, n, n))
+        values = eig(stack)
+        assert values.shape == (5, n)
+        for row, m in zip(values, stack):
+            assert row.tobytes() == eig(m).tobytes()
+
+    def test_stack_validation(self):
+        with pytest.raises(ValueError, match="square"):
+            eig(np.ones((2, 2, 3)))
+        with pytest.raises(ValueError, match="square"):
+            eig(np.ones((1, 2, 2, 2)))
+        stack = np.stack([np.eye(2, dtype=np.complex128)] * 3)
+        stack[2, 0, 1] = complex(0.0, np.inf)
+        with pytest.raises(ValueError, match="finite"):
+            eig(stack)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 3, 3)])
+    def test_lapack_failure_is_convergence_error(self, monkeypatch, shape):
+        def failing(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", failing)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            eig(np.ones(shape))
 
 
 class TestCluster:

@@ -1,9 +1,15 @@
 import pytest
 
+import specrank.propsuite as propsuite
+from specrank.algebra import ViewError
+from specrank.charpoly import DiagonalizationError
 from specrank.config import DEFAULT_TOLS
+from specrank.multiplicity import SpectrumDomainError, UnstableMultiplicityError
+from specrank.numkernel import ContourError, ConvergenceError, SpecrankError
 from specrank.propsuite import (DEFAULT_TRIALS, PROPERTY_NAMES, CampaignSettings,
                                 PropertySpec, ShapePolicy, replay_failure,
                                 run_campaign, run_property, run_trial)
+from specrank.rank import IllConditionedError, UncertifiedRankError
 
 SMALL_POLICY = ShapePolicy(max_blocks=3, max_dim=4)
 
@@ -118,6 +124,24 @@ def test_campaign_csv_layout():
         assert name in PROPERTY_NAMES
         assert float(high) > float(low)
         assert int(count) >= 1
+
+
+@pytest.mark.parametrize("name", ["compression_rank", "compression_spectrum"])
+def test_view_error_fails_trial_without_raising(monkeypatch, name):
+    def failing_view(p, tols=DEFAULT_TOLS):
+        raise ViewError("projection has rank 0; the corner algebra is empty")
+
+    monkeypatch.setattr(propsuite, "compressed_view", failing_view)
+    result = run_trial(PropertySpec(name=name, trials=1), 20240, 0)
+    assert not result.passed
+    assert result.failure["measured"]["error"].startswith("ViewError")
+
+
+def test_every_typed_error_shares_one_base():
+    for error in (ConvergenceError, ContourError, UnstableMultiplicityError,
+                  UncertifiedRankError, SpectrumDomainError,
+                  DiagonalizationError, ViewError, IllConditionedError):
+        assert issubclass(error, SpecrankError)
 
 
 def test_zero_counting_multiplicity_fails_trial_without_raising():

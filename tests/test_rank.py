@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 
+from specrank import config
 from specrank.algebra import (AlgebraShape, Element, ProjectionElement,
-                              compressed_view, count_nonzero_spectrum,
+                              compressed_view, count_nonzero_spectrum, ginibre,
                               identity, norm, random_element,
                               random_socle_element, spectrum, zero)
 from specrank.charpoly import diagonalize_maximal
 from specrank.config import Tolerances
-from specrank.rank import (UncertifiedRankError, assumes_rank_at, is_maximal,
-                           make_maximal, rank_oracle, spectral_rank)
+from specrank.numkernel import SpecrankError
+from specrank.rank import (IllConditionedError, UncertifiedRankError,
+                           _well_conditioned_similarity, assumes_rank_at,
+                           is_maximal, make_maximal, rank_oracle,
+                           require_certified, spectral_rank)
 from conftest import make_rng
 
 M3 = AlgebraShape(dims=(3,))
@@ -117,6 +121,17 @@ class TestAssumesRankAt:
         assert cert.samples_used == 32  # escalation exhausted
         with pytest.raises(UncertifiedRankError):
             assumes_rank_at(a, identity(a.shape), cert, coarse)
+        with pytest.raises(UncertifiedRankError, match="rank 0 below oracle 2"):
+            require_certified(cert)
+
+    def test_graded_diagonal_samples_rank_above_oracle(self, rng):
+        # 0.5 sits below the oracle's singular-value cutoff (1e-8 * 1e8) but
+        # products x*a show it as a distinct nonzero value
+        a = diag_element(AlgebraShape(dims=(2,)), [1e8, 0.5])
+        cert = spectral_rank(a, rng=rng)
+        assert (cert.rank, cert.oracle_rank, cert.certified) == (2, 1, False)
+        with pytest.raises(UncertifiedRankError, match="rank 2 above oracle 1"):
+            assumes_rank_at(a, identity(a.shape), cert)
 
 
 class TestIsMaximal:
@@ -130,6 +145,23 @@ class TestIsMaximal:
     def test_distinct_diagonal_blocks(self, rng):
         a = diag_element(AlgebraShape(dims=(2, 1)), [1.0, 2.0], [3.0])
         assert is_maximal(a, rng)
+
+
+class TestWellConditionedSimilarity:
+    def test_first_acceptable_draw_is_kept(self):
+        s = _well_conditioned_similarity(make_rng(8), 4)
+        first = np.eye(4, dtype=np.complex128) + ginibre(make_rng(8), 4)
+        assert s.tobytes() == first.tobytes()
+
+    def test_draws_are_bounded(self):
+        rng = make_rng(9)
+        with pytest.raises(IllConditionedError, match="in 20 draws"):
+            _well_conditioned_similarity(rng, 3, cond_cap=1.0)
+        probe = make_rng(9)
+        for _ in range(config.CONDITION_RETRIES):
+            ginibre(probe, 3)
+        assert rng.random() == probe.random()
+        assert issubclass(IllConditionedError, SpecrankError)
 
 
 class TestMakeMaximal:
