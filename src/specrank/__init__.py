@@ -18,8 +18,9 @@ from .multiplicity import (MultiplicityRecord, SpectrumDomainError,
                            multiplicity, multiplicity_oracle,
                            multiplicity_riesz, spectral_gap)
 from .numkernel import (ClusteredSpectrum, ContourError, ConvergenceError,
-                        SpecrankError, classical_charpoly, cluster, eig,
-                        hausdorff, mat_det, mat_rank, riesz_projection)
+                        NonFiniteError, SpecrankError, classical_charpoly,
+                        cluster, eig, hausdorff, mat_det, mat_rank,
+                        riesz_projection)
 from .propsuite import (CampaignReport, CampaignSettings, PropertyReport,
                         PropertySpec, ShapePolicy, run_campaign, run_property)
 from .rank import (IllConditionedError, RankCertificate, UncertifiedRankError,

@@ -9,15 +9,16 @@ ambient no element is invertible and 0 always belongs to the spectrum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .config import DEFAULT_TOLS, Tolerances
 from .jsonio import matrix_to_rows, rows_to_matrix
-from .numkernel import (ClusteredSpectrum, SpecrankError, as_matrix, cluster,
-                        eig, frobenius, mat_rank, riesz_projection)
+from .numkernel import (ClusteredSpectrum, NonFiniteError, SpecrankError,
+                        as_matrix, cluster, eig, frobenius, mat_rank,
+                        riesz_projection)
 
 FINITE = "finite"
 INFINITE_SOCLE = "infinite"
@@ -101,11 +102,11 @@ class Element:
 
     def __add__(self, other: "Element") -> "Element":
         self._check_same(other)
-        return Element(self.shape, tuple(a + b for a, b in zip(self.blocks, other.blocks)))
+        return _computed(self.shape, (a + b for a, b in zip(self.blocks, other.blocks)))
 
     def __sub__(self, other: "Element") -> "Element":
         self._check_same(other)
-        return Element(self.shape, tuple(a - b for a, b in zip(self.blocks, other.blocks)))
+        return _computed(self.shape, (a - b for a, b in zip(self.blocks, other.blocks)))
 
     def __neg__(self) -> "Element":
         return Element(self.shape, tuple(-a for a in self.blocks))
@@ -113,12 +114,11 @@ class Element:
     def __mul__(self, other):
         if isinstance(other, Element):
             self._check_same(other)
-            return Element(self.shape,
-                           tuple(a @ b for a, b in zip(self.blocks, other.blocks)))
-        return Element(self.shape, tuple(complex(other) * a for a in self.blocks))
+            return _computed(self.shape, (a @ b for a, b in zip(self.blocks, other.blocks)))
+        return _computed(self.shape, (complex(other) * a for a in self.blocks))
 
     def __rmul__(self, scalar) -> "Element":
-        return Element(self.shape, tuple(complex(scalar) * a for a in self.blocks))
+        return _computed(self.shape, (complex(scalar) * a for a in self.blocks))
 
     def to_json(self) -> dict:
         return {
@@ -135,6 +135,19 @@ class Element:
         return Element(shape, blocks)
 
 
+def _computed(shape: AlgebraShape, blocks, what: str = "element arithmetic") -> Element:
+    """Element of ``shape`` whose blocks were computed from valid elements.
+
+    The blocks have the right shapes, so the only check they can fail is
+    finiteness: the arithmetic overflowed, which is ``NonFiniteError``, not
+    the ``ValueError`` of invalid input.
+    """
+    try:
+        return Element(shape, tuple(blocks))
+    except ValueError as exc:
+        raise NonFiniteError(f"{what} overflowed: {exc}") from exc
+
+
 def zero(shape: AlgebraShape) -> Element:
     return Element(shape, tuple(np.zeros((d, d), dtype=np.complex128) for d in shape.dims))
 
@@ -144,8 +157,12 @@ def identity(shape: AlgebraShape) -> Element:
 
 
 def norm(a: Element) -> float:
-    """Max over blocks of the Frobenius norm; submultiplicative."""
-    return max(frobenius(b) for b in a.blocks)
+    """Max over blocks of the Frobenius norm; submultiplicative. Entries
+    beyond about 1e154 overflow its sum of squares: ``NonFiniteError``."""
+    value = max(frobenius(b) for b in a.blocks)
+    if not math.isfinite(value):
+        raise NonFiniteError("element norm overflowed to a non-finite value")
+    return value
 
 
 def allclose(a: Element, b: Element, tol: float = 1e-12) -> bool:
@@ -174,11 +191,16 @@ def _all_eigs(a: Element) -> np.ndarray:
     return np.concatenate(a.block_eigs())
 
 
+def _spectral_radius(values: np.ndarray) -> float:
+    rho = float(np.max(np.abs(values))) if values.size else 0.0
+    if not math.isfinite(rho):
+        raise NonFiniteError("spectral radius overflowed to a non-finite value")
+    return rho
+
+
 def tau_of(a: Element, tols: Tolerances = DEFAULT_TOLS) -> float:
     """Distinctness tolerance for ``a`` from its spectral radius estimate."""
-    values = _all_eigs(a)
-    rho = float(np.max(np.abs(values))) if values.size else 0.0
-    return tols.tau(rho)
+    return tols.tau(_spectral_radius(_all_eigs(a)))
 
 
 def spectrum(a: Element, tols: Tolerances = DEFAULT_TOLS) -> ClusteredSpectrum:
@@ -200,8 +222,7 @@ def _spectrum_of(values: np.ndarray, shape: AlgebraShape,
                  tols: Tolerances) -> ClusteredSpectrum:
     """``spectrum`` of an element of ``shape`` whose block eigenvalues,
     concatenated, are ``values``."""
-    rho = float(np.max(np.abs(values))) if values.size else 0.0
-    tau = tols.tau(rho)
+    tau = tols.tau(_spectral_radius(values))
     points = list(cluster(values, tau).points)
     # snap the representative nearest 0 to exactly 0 when within tau
     near = [(abs(v), i) for i, (v, _) in enumerate(points) if abs(v) <= tau]
@@ -220,9 +241,13 @@ def witness_spectra(a: Element, witnesses,
     raw blocks, without building the products as elements: block ``j`` of
     all products is one stacked matmul and one stacked ``eig`` call, which
     also validates the products. Raises ``ConvergenceError`` when any
-    product's eigenvalue iteration fails."""
-    per_block = [eig(np.stack([x[j] for x in witnesses]) @ b)
-                 for j, b in enumerate(a.blocks)]
+    product's eigenvalue iteration fails and ``NonFiniteError`` when a
+    product overflows."""
+    try:
+        per_block = [eig(np.stack([x[j] for x in witnesses]) @ b)
+                     for j, b in enumerate(a.blocks)]
+    except ValueError as exc:  # square products of valid blocks: they overflowed
+        raise NonFiniteError(f"witness product overflowed: {exc}") from exc
     return [_spectrum_of(np.concatenate([v[i] for v in per_block]), a.shape, tols)
             for i in range(len(witnesses))]
 
@@ -318,11 +343,15 @@ class CompressedView:
         for basis, j in zip(self.bases, self.block_map):
             papj = pb[j] @ a.blocks[j] @ pb[j]
             out.append(basis.conj().T @ papj @ basis)
-        return Element(self.shape, tuple(out))
+        return _computed(self.shape, out, "compression")
 
 
 def compressed_view(p: ProjectionElement, tols: Tolerances = DEFAULT_TOLS) -> CompressedView:
     """Build the corner view for ``p`` via column-pivoted QR range bases."""
+    # imported on first use: no other path needs scipy, and loading
+    # scipy.linalg costs more than a whole `specrank check`
+    import scipy.linalg
+
     shape = p.element.shape
     bases, block_map = [], []
     for j, block in enumerate(p.element.blocks):

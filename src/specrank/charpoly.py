@@ -11,6 +11,7 @@ coefficients except for display, which avoids catastrophic cancellation.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,7 @@ from .config import DEFAULT_TOLS, Tolerances
 from .jsonio import complex_to_pair
 from .multiplicity import (MultiplicityRecord, UnstableMultiplicityError,
                            multiplicities, spectral_gap)
-from .numkernel import SpecrankError
+from .numkernel import NonFiniteError, SpecrankError
 from .rank import (RankCertificate, is_maximal, rank_oracle, require_certified,
                    spectral_rank)
 
@@ -123,11 +124,32 @@ def char_poly_maximal(a: Element, tols: Tolerances = DEFAULT_TOLS) -> CharPoly:
     return CharPoly(factors=tuple(factors), source_rank=len(values))
 
 
-def eval_scalar(p: CharPoly, z: complex) -> complex:
-    acc = 1.0 + 0.0j
-    for root, m in p.factors:
-        acc *= (root - z) ** m
+def _power_product(acc, pairs, what: str):
+    """``acc * prod base ** m`` over ``(base, m)`` pairs, multiplied in
+    order; ``NonFiniteError`` when it overflows (``**`` raises
+    ``OverflowError`` where ``*`` gives inf)."""
+    try:
+        for base, m in pairs:
+            acc *= base ** m
+    except OverflowError as exc:
+        raise NonFiniteError(f"{what} overflowed: {exc}") from exc
+    if not cmath.isfinite(acc):
+        raise NonFiniteError(f"{what} overflowed to a non-finite value")
     return acc
+
+
+def weighted_sum(pairs) -> complex:
+    """``sum value * mult`` over ``(value, mult)`` pairs, in order: the trace
+    of a polynomial's factors or of multiplicity records."""
+    total = sum(value * m for value, m in pairs)
+    if not cmath.isfinite(total):
+        raise NonFiniteError("trace overflowed to a non-finite value")
+    return total
+
+
+def eval_scalar(p: CharPoly, z: complex) -> complex:
+    return _power_product(1.0 + 0.0j, ((root - z, m) for root, m in p.factors),
+                          "polynomial value")
 
 
 def eval_element(p: CharPoly, x: Element, e: Element | None = None) -> Element:
@@ -149,9 +171,8 @@ def eval_element(p: CharPoly, x: Element, e: Element | None = None) -> Element:
 
 def residual_scale(p: CharPoly, element_norm: float) -> float:
     """Normalization ``prod (|root| + |a|)^mult`` floored at 1."""
-    scale = 1.0
-    for root, m in p.factors:
-        scale *= (abs(root) + element_norm) ** m
+    scale = _power_product(1.0, ((abs(root) + element_norm, m) for root, m in p.factors),
+                           "residual scale")
     return max(scale, 1.0)
 
 
@@ -170,7 +191,7 @@ def trace(a: Element, rng: np.random.Generator,
           tols: Tolerances = DEFAULT_TOLS) -> complex:
     """Sum of distinct spectral values weighted by multiplicity."""
     p = char_poly(a, rng, certificate, tols)
-    return sum(root * m for root, m in p.factors)
+    return weighted_sum(p.factors)
 
 
 def det_plus_one(a: Element, rng: np.random.Generator,
@@ -183,10 +204,8 @@ def det_plus_one(a: Element, rng: np.random.Generator,
     tau = tau_of(a, tols)
     if any(abs(root + 1.0) <= tau for root, _ in p.factors):
         return 0.0 + 0.0j
-    acc = 1.0 + 0.0j
-    for root, m in p.factors:
-        acc *= (root + 1.0) ** m
-    return acc
+    return _power_product(1.0 + 0.0j, ((root + 1.0, m) for root, m in p.factors),
+                          "det(a + 1)")
 
 
 def diagonalize_maximal(a: Element, rng: np.random.Generator,

@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 property failure, 2 usage or config error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ from .algebra import (FINITE, INFINITE_SOCLE, AlgebraShape, Element, norm,
                       random_element, random_socle_element, zero)
 from .charpoly import (approximation_sequence, cayley_hamilton_residual,
                        char_poly, char_poly_from_records, det_plus_one,
-                       eval_element, naive_det_demo)
+                       eval_element, naive_det_demo, weighted_sum)
 from .config import DEFAULT_TOLS, Tolerances
 from .jsonio import complex_to_pair
 from .multiplicity import multiplicities
@@ -210,7 +211,7 @@ def _analyze(element: Element, rng: np.random.Generator, tols: Tolerances) -> di
     if cert.certified:
         poly = char_poly_from_records(records, cert.rank)
     residual = cayley_hamilton_residual(element, rng, cert, poly, tols)
-    tr = sum(r.value * r.m_counting for r in records)
+    tr = weighted_sum((r.value, r.m_counting) for r in records)
     det1 = det_plus_one(element, rng, cert, poly, tols)
     return {
         "rank": cert.to_json(),
@@ -333,7 +334,9 @@ def cmd_demo(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="specrank",
         description="spectral rank, multiplicities, and factored "

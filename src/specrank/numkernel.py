@@ -9,6 +9,7 @@ backward stable for general dense complex spectra.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,10 @@ class SpecrankError(Exception):
 
 class ConvergenceError(SpecrankError):
     """Raised when an eigenvalue iteration fails to converge."""
+
+
+class NonFiniteError(SpecrankError):
+    """Raised when a computation on finite input overflows to inf or nan."""
 
 
 class ContourError(SpecrankError):
@@ -148,12 +153,15 @@ def cluster(values, tol: float) -> ClusteredSpectrum:
             i = parent[i]
         return i
 
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            if abs(vals[i] - vals[j]) <= tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
+    try:
+        for i in range(len(vals)):
+            for j in range(i + 1, len(vals)):
+                if abs(vals[i] - vals[j]) <= tol:
+                    ri, rj = find(i), find(j)
+                    if ri != rj:
+                        parent[rj] = ri
+    except OverflowError as exc:  # |v_i - v_j| beyond the largest float
+        raise NonFiniteError(f"distance between spectral values: {exc}") from exc
 
     groups: dict[int, list[complex]] = {}
     for i, v in enumerate(vals):
@@ -175,6 +183,8 @@ def cluster(values, tol: float) -> ClusteredSpectrum:
             if merged:
                 break
 
+    if not all(cmath.isfinite(v) for v, _ in points):
+        raise NonFiniteError("cluster mean overflowed to a non-finite value")
     points.sort(key=lambda p: (p[0].real, p[0].imag))
     return ClusteredSpectrum(points=tuple(points), tol=tol)
 
@@ -235,14 +245,23 @@ def riesz_projection(m, center: complex, radius: float, nodes: int = 64,
 
     eye = np.eye(a.shape[0], dtype=np.complex128)
     w = radius * np.exp(1j * (2.0 * np.pi * np.arange(nodes) / nodes))
+    # the (nodes, n, n) stacks are updated in place: a fresh stack per step
+    # makes malloc grow and trim its heap on every contour, page-faulting
+    # the memory anew each time
+    shifted = (center + w)[:, None, None] * eye
+    shifted -= a
     try:
-        r = np.linalg.solve((center + w)[:, None, None] * eye - a, eye)
+        r = np.linalg.solve(shifted, eye)
     except np.linalg.LinAlgError as exc:
         raise ContourError(f"contour node on the spectrum: {exc}") from exc
+    # w_k * r_k with w first: r *= w rounds differently
+    np.multiply(w[:, None, None], r, out=r)
     # running sum in node order, the rounding of a node-by-node loop; a
     # reduction such as .sum(0) rounds differently. Adding 0.0 turns an
     # all-(-0.0) sum into the +0.0 a loop starting from zeros gives.
-    p = (np.cumsum(w[:, None, None] * r, axis=0)[-1] + 0.0) / nodes
+    p = (np.cumsum(r, axis=0, out=r)[-1] + 0.0) / nodes
+    if not np.isfinite(p).all():
+        raise ContourError("contour projector overflowed to a non-finite value")
 
     defect = frobenius(p @ p - p)
     if defect > idem_tol * (1.0 + frobenius(p)):

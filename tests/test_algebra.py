@@ -15,7 +15,7 @@ from specrank.algebra import (FINITE, INFINITE_SOCLE, AlgebraShape, Element,
                               tau_of, zero)
 from specrank.config import DEFAULT_TOLS
 from specrank.multiplicity import multiplicity_riesz, spectral_gap
-from specrank.numkernel import eig, hausdorff, mat_rank
+from specrank.numkernel import NonFiniteError, eig, hausdorff, mat_rank
 from conftest import make_rng
 
 M3 = AlgebraShape(dims=(3,))
@@ -325,7 +325,9 @@ class TestSpectrumCache:
         a = diag_element(shape, [1e308, 1.0])
         witnesses = [(np.eye(2, dtype=np.complex128),),
                      (10.0 * np.eye(2, dtype=np.complex128),)]
-        with pytest.raises(ValueError, match="matrix entries must be finite"):
+        # the products of valid blocks overflowed: a typed numeric failure,
+        # not the ValueError that rejects a non-finite input
+        with pytest.raises(NonFiniteError, match="witness product"):
             algebra_module.witness_spectra(a, witnesses)
 
     def test_cached_eigenvalues_are_read_only(self):

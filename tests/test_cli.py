@@ -266,3 +266,21 @@ class TestDemo:
 
 def test_no_command_is_usage_error():
     assert main([]) == 2
+
+
+def test_cached_parser_matches_fresh_parsers(capsys):
+    seeded = ["gen", "--dims", "3,2", "--ranks", "2,1", "--seed", "9"]
+    unseeded = ["gen", "--dims", "3,2", "--ranks", "2,1"]
+    fresh = {}
+    for argv in (seeded, unseeded):
+        cli.build_parser.cache_clear()
+        assert main(argv) == 0
+        fresh[tuple(argv)] = capsys.readouterr().out
+    assert cli.build_parser() is cli.build_parser()
+    # a usage error, then gen calls through the same cached parser: no
+    # value from an earlier call leaks into the next one
+    assert main(["gen", "--dims"]) == 2
+    capsys.readouterr()
+    for argv in (seeded, unseeded, seeded):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == fresh[tuple(argv)]
