@@ -273,22 +273,18 @@ def is_singular(a: Element, tols: Tolerances = DEFAULT_TOLS) -> bool:
 class ProjectionElement:
     """An idempotent element; Hermitian-ness is not required."""
 
-    underlying: Element
+    element: Element
     idem_tol: float = field(default=DEFAULT_TOLS.projection_idem)
 
     def __post_init__(self):
-        p = self.underlying
+        p = self.element
         defect = norm(p * p - p)
         if defect > self.idem_tol * (1.0 + norm(p)):
             raise ValueError(f"not a projection: ||p^2 - p|| = {defect:.3e}")
 
-    @property
-    def element(self) -> Element:
-        return self.underlying
-
     def __add__(self, other: "ProjectionElement") -> "ProjectionElement":
         # valid for mutually orthogonal projections; construction re-validates
-        return ProjectionElement(self.underlying + other.underlying)
+        return ProjectionElement(self.element + other.element)
 
 
 def riesz_blocks(a: Element, center: complex, radius: float, nodes: int,

@@ -338,7 +338,7 @@ def approximation_sequence(a: Element, steps: int, lambda0: complex,
             break
         q = char_poly_maximal(accepted, tols)
         dev = abs(eval_scalar(q, lambda0) - ref_val)
-        res = norm(eval_element(q, accepted)) / residual_scale(q, norm(accepted))
+        res = cayley_hamilton_residual(accepted, rng, poly=q, tols=tols)
         out.append(ApproximationStep(step=m, witness_scale=scale,
                                      deviation=dev, residual=res, tries=tries))
     return ConvergenceRecord(lambda0=complex(lambda0), reference=ref_val,

@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import (FINITE, INFINITE_SOCLE, AlgebraShape, Element, norm,
-                      random_element, random_socle_element, zero)
+from .algebra import (FINITE, INFINITE_SOCLE, AlgebraShape, Element,
+                      count_nonzero_spectrum, norm, random_element,
+                      random_socle_element, spectrum, zero)
 from .charpoly import (approximation_sequence, cayley_hamilton_residual,
                        char_poly, char_poly_from_records, det_plus_one,
                        eval_element, naive_det_demo, weighted_sum)
@@ -55,25 +56,31 @@ class Config:
     format: str = "json"
 
     def validate(self):
+        # JSON gives exact int and float types; bool is rejected as a number
+        if type(self.seed) is not int or self.seed < 0:
+            raise UsageError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.ambient not in ("finite", "infinite", "both"):
             raise UsageError(f"invalid ambient {self.ambient!r}")
         if self.format not in ("json", "csv"):
             raise UsageError(f"invalid format {self.format!r}")
+        if self.out is not None and not isinstance(self.out, str):
+            raise UsageError(f"out must be a path, got {self.out!r}")
         if self.shapes is not None:
-            if not self.shapes:
-                raise UsageError("shapes must be nonempty when given")
+            if not isinstance(self.shapes, list) or not self.shapes:
+                raise UsageError("shapes must be a nonempty list when given")
             for dims in self.shapes:
-                if not dims or any(int(d) < 1 for d in dims):
+                if (not isinstance(dims, list) or not dims
+                        or any(type(d) is not int or d < 1 for d in dims)):
                     raise UsageError(f"invalid shape {dims!r}")
         for name, count in self.trials.items():
             if name not in PROPERTY_NAMES:
                 raise UsageError(f"unknown property {name!r} in trials")
-            if int(count) < 0:
-                raise UsageError("trial counts must be nonnegative")
+            if type(count) is not int or count < 0:
+                raise UsageError("trial counts must be nonnegative integers")
         for label, value in (("tol-cluster", self.tol_cluster),
                              ("tol-residual", self.tol_residual)):
-            if value is not None and value <= 0:
-                raise UsageError(f"--{label} must be positive")
+            if value is not None and (type(value) not in (int, float) or not value > 0):
+                raise UsageError(f"--{label} must be a positive number, got {value!r}")
 
     def tolerances(self) -> Tolerances:
         overrides = {}
@@ -86,11 +93,9 @@ class Config:
     def settings(self) -> CampaignSettings:
         ambients = {"finite": (FINITE,), "infinite": (INFINITE_SOCLE,),
                     "both": (FINITE, INFINITE_SOCLE)}[self.ambient]
-        shapes = None if self.shapes is None else tuple(
-            tuple(int(d) for d in dims) for dims in self.shapes)
+        shapes = None if self.shapes is None else tuple(map(tuple, self.shapes))
         policy = ShapePolicy(ambients=ambients, shapes=shapes)
-        trials = tuple(sorted((name, int(count))
-                              for name, count in self.trials.items()))
+        trials = tuple(sorted(self.trials.items()))
         return CampaignSettings(seed=self.seed, policy=policy,
                                 tols=self.tolerances(), trials=trials)
 
@@ -138,14 +143,21 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
-def _parse_dims(text: str) -> tuple[int, ...]:
+def _seed(text: str) -> int:
+    """argparse type of every ``--seed``: a nonnegative integer."""
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
+def _parse_ints(text: str, what: str, least: int) -> tuple[int, ...]:
     try:
-        dims = tuple(int(part) for part in text.split(","))
+        values = tuple(int(part) for part in text.split(","))
     except ValueError as exc:
-        raise UsageError(f"cannot parse dims {text!r}") from exc
-    if not dims or any(d < 1 for d in dims):
-        raise UsageError("dims must be positive integers")
-    return dims
+        raise UsageError(f"cannot parse {what} {text!r}") from exc
+    if any(v < least for v in values):
+        raise UsageError(f"{what} must be integers >= {least}")
+    return values
 
 
 def _parse_complex_list(text: str) -> list[complex]:
@@ -179,22 +191,26 @@ def _poly_str(factors) -> str:
 
 
 def cmd_gen(args) -> int:
-    dims = _parse_dims(args.dims)
+    dims = _parse_ints(args.dims, "dims", 1)
     ambient = {"finite": FINITE, "infinite": INFINITE_SOCLE}[args.ambient]
     shape = AlgebraShape(dims=dims, ambient=ambient)
-    rng = _rng(args.seed if args.seed is not None else 20240)
+    rng = _rng(args.seed)
     if args.ranks is not None and args.maximal_eigs is not None:
         raise UsageError("choose one of --ranks / --maximal-eigs")
     if args.ranks is not None:
-        ranks = [int(r) for r in args.ranks.split(",")]
+        ranks = _parse_ints(args.ranks, "ranks", 0)
         if len(ranks) != len(dims):
             raise UsageError("one rank per block required")
-        if any(r < 0 or r > d for r, d in zip(ranks, dims)):
+        if any(r > d for r, d in zip(ranks, dims)):
             raise UsageError("ranks must satisfy 0 <= rank <= block dim")
         element = (zero(shape) if sum(ranks) == 0
                    else random_socle_element(shape, ranks, rng))
     elif args.maximal_eigs is not None:
-        element = make_maximal(shape, _parse_complex_list(args.maximal_eigs), rng)
+        eigs = _parse_complex_list(args.maximal_eigs)
+        try:
+            element = make_maximal(shape, eigs, rng)
+        except ValueError as exc:
+            raise UsageError(f"invalid --maximal-eigs: {exc}") from exc
     else:
         element = random_element(shape, rng)
     _write_output(json.dumps(element.to_json(), indent=2), args.out)
@@ -202,10 +218,8 @@ def cmd_gen(args) -> int:
 
 
 def _analyze(element: Element, rng: np.random.Generator, tols: Tolerances) -> dict:
-    from .algebra import spectrum as spectrum_of
-
     cert = spectral_rank(element, rng=rng, tols=tols)
-    spec = spectrum_of(element, tols)
+    spec = spectrum(element, tols)
     records = multiplicities(element, rng, cert, with_riesz=True, tols=tols)
     poly = None
     if cert.certified:
@@ -231,7 +245,7 @@ def cmd_check(args) -> int:
             element = Element.from_json(json.load(fh))
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         raise UsageError(f"cannot read element file: {exc}") from exc
-    rng = _rng(args.seed if args.seed is not None else 20240)
+    rng = _rng(args.seed)
     report = _analyze(element, rng, DEFAULT_TOLS)
     _write_output(json.dumps(report, indent=2), args.out)
     return EXIT_OK
@@ -249,6 +263,11 @@ def cmd_campaign(args) -> int:
     return EXIT_OK if report.total_failures == 0 else EXIT_PROPERTY_FAILURE
 
 
+def _poly_summary(poly) -> dict:
+    return {"factors": poly.to_json()["factors"],
+            "display": _poly_str(poly.factors), "degree": poly.degree}
+
+
 def _demo_m3(rng, tols) -> dict:
     shape = AlgebraShape(dims=(3,), ambient=FINITE)
     a = Element(shape, (np.diag([1.0, 0.0, 0.0]),))
@@ -256,9 +275,7 @@ def _demo_m3(rng, tols) -> dict:
     classical = classical_charpoly(a.blocks[0])
     return {
         "element": "diag(1, 0, 0) in the 3x3 matrix block",
-        "generalized": {"factors": poly.to_json()["factors"],
-                        "display": _poly_str(poly.factors),
-                        "degree": poly.degree,
+        "generalized": {**_poly_summary(poly),
                         "coefficients_desc": [complex_to_pair(z)
                                               for z in poly.coefficients()]},
         "classical": {"display": "(-x)^2 * (1 - x)",
@@ -275,16 +292,13 @@ def _demo_zero(rng, tols) -> dict:
     value = eval_element(poly, a)
     return {
         "element": "0 in the 3x3 matrix block",
-        "char_poly": {"factors": poly.to_json()["factors"],
-                      "display": _poly_str(poly.factors), "degree": poly.degree},
+        "char_poly": _poly_summary(poly),
         "annihilation_norm": norm(value),
         "exact_zero": norm(value) == 0.0,
     }
 
 
 def _demo_ch_walkthrough(rng, tols) -> dict:
-    from .algebra import count_nonzero_spectrum
-
     shape = AlgebraShape(dims=(2,), ambient=FINITE)
     a = Element(shape, (np.array([[0.0, 1.0], [0.0, 0.0]]),))
     cert = spectral_rank(a, rng=rng, tols=tols)
@@ -295,8 +309,7 @@ def _demo_ch_walkthrough(rng, tols) -> dict:
         "element": "nilpotent [[0,1],[0,0]] in the 2x2 matrix block",
         "rank": cert.rank,
         "distinct_nonzero_values": count_nonzero_spectrum(a, tols),
-        "char_poly": {"factors": poly.to_json()["factors"],
-                      "display": _poly_str(poly.factors), "degree": poly.degree},
+        "char_poly": _poly_summary(poly),
         "cayley_hamilton_residual": residual,
         "identity_walk": record.to_json(),
     }
@@ -318,15 +331,13 @@ def _render_demo_text(name: str, data: dict) -> str:
 
 
 def cmd_demo(args) -> int:
-    rng = _rng(args.seed if args.seed is not None else 20240)
-    tols = DEFAULT_TOLS
     builders = {
         "m3_example": _demo_m3,
         "zero_example": _demo_zero,
-        "c3_naive_det": lambda r, t: naive_det_demo(r, t),
+        "c3_naive_det": naive_det_demo,
         "ch_walkthrough": _demo_ch_walkthrough,
     }
-    data = builders[args.name](rng, tols)
+    data = builders[args.name](_rng(args.seed), DEFAULT_TOLS)
     if args.fmt == "json":
         _write_output(json.dumps(data, indent=2), args.out)
     else:
@@ -349,19 +360,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--ranks", help="per-block target ranks, e.g. 2,1")
     p_gen.add_argument("--maximal-eigs", dest="maximal_eigs",
                        help="distinct nonzero values, e.g. 1,2,3 or 1+2j")
-    p_gen.add_argument("--seed", type=int)
+    p_gen.add_argument("--seed", type=_seed, default=20240)
     p_gen.add_argument("--out")
     p_gen.set_defaults(func=cmd_gen)
 
     p_check = sub.add_parser("check", help="full report for one element file")
     p_check.add_argument("element")
-    p_check.add_argument("--seed", type=int)
+    p_check.add_argument("--seed", type=_seed, default=20240)
     p_check.add_argument("--out")
     p_check.set_defaults(func=cmd_check)
 
     p_camp = sub.add_parser("campaign", help="run the verification campaigns")
     p_camp.add_argument("--config", help="JSON config file")
-    p_camp.add_argument("--seed", type=int)
+    p_camp.add_argument("--seed", type=_seed)
     p_camp.add_argument("--trials", type=int, help="trial count for every property")
     p_camp.add_argument("--out")
     p_camp.add_argument("--format", dest="fmt", choices=("json", "csv"))
@@ -371,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_demo = sub.add_parser("demo", help="print a worked example")
     p_demo.add_argument("name", choices=DEMO_NAMES)
-    p_demo.add_argument("--seed", type=int)
+    p_demo.add_argument("--seed", type=_seed, default=20240)
     p_demo.add_argument("--out")
     p_demo.add_argument("--format", dest="fmt", choices=("text", "json"),
                         default="text")

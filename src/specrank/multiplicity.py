@@ -164,15 +164,21 @@ def multiplicities(a: Element, rng: np.random.Generator,
     return records
 
 
+def _spectral_value(a: Element, lam: complex, tols: Tolerances):
+    """The spectrum of ``a`` and its value within tolerance of ``lam``."""
+    spec = spectrum(a, tols)
+    nearest, dist = spec.nearest(lam)
+    if nearest is None or dist > spec.tol:
+        raise SpectrumDomainError(f"{lam} is not a spectral value of the element")
+    return spec, nearest
+
+
 def multiplicity(a: Element, lam: complex, rng: np.random.Generator,
                  certificate: RankCertificate | None = None,
                  with_riesz: bool = True,
                  tols: Tolerances = DEFAULT_TOLS) -> MultiplicityRecord:
     """Multiplicity of ``a`` at the spectral value nearest ``lam``."""
-    spec = spectrum(a, tols)
-    nearest, dist = spec.nearest(lam)
-    if nearest is None or dist > spec.tol:
-        raise SpectrumDomainError(f"{lam} is not a spectral value of the element")
+    _, nearest = _spectral_value(a, lam, tols)
     for rec in multiplicities(a, rng, certificate, with_riesz, tols):
         if rec.value == nearest:
             return rec
@@ -184,10 +190,7 @@ def multiplicity_riesz(a: Element, lam: complex,
                        tols: Tolerances = DEFAULT_TOLS) -> int:
     """Rank of the spectral projector around nonzero ``lam``: summed traces
     of blockwise contour integrals with radius half the spectral gap."""
-    spec = spectrum(a, tols)
-    nearest, dist = spec.nearest(lam)
-    if nearest is None or dist > spec.tol:
-        raise SpectrumDomainError(f"{lam} is not a spectral value of the element")
+    spec, nearest = _spectral_value(a, lam, tols)
     if abs(nearest) <= spec.tol:
         raise SpectrumDomainError("projector route applies to nonzero values only")
     gap = spectral_gap(a, tols)
@@ -215,10 +218,7 @@ def multiplicity_oracle(a: Element, lam: complex,
     validated against the counting procedure by the test suite before
     campaigns rely on it.
     """
-    spec = spectrum(a, tols)
-    nearest, dist = spec.nearest(lam)
-    if nearest is None or dist > spec.tol:
-        raise SpectrumDomainError(f"{lam} is not a spectral value of the element")
+    spec, nearest = _spectral_value(a, lam, tols)
     if abs(nearest) > spec.tol:
         return spec.count_at(nearest)
     nonzero_total = sum(c for v, c in spec.points if abs(v) > spec.tol)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jsonio import complex_to_pair, matrix_to_rows, pair_to_complex, rows_to_matrix
+from .jsonio import complex_to_pair, pair_to_complex
 
 
 class SpecrankError(Exception):
@@ -291,11 +291,3 @@ def hausdorff(points_a, points_b) -> float:
     d_ba = max(min(abs(x - y) for y in pa) for x in pb)
     return max(d_ab, d_ba)
 
-
-def matrix_to_json(m) -> list:
-    """JSON form of a matrix: array of rows, entries as [re, im] pairs."""
-    return matrix_to_rows(as_matrix(m))
-
-
-def matrix_from_json(rows) -> np.ndarray:
-    return as_matrix(rows_to_matrix(rows))

@@ -75,7 +75,7 @@ class PropertySpec:
             raise ValueError("trials must be nonnegative")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrialResult:
     passed: bool
     residual: float = 0.0
@@ -222,10 +222,14 @@ def _random_maximal_constructed(shape: AlgebraShape, rng: np.random.Generator,
     return make_maximal(shape, values, rng, assignment=assignment, tols=tols)
 
 
+def _random_ranks(shape: AlgebraShape, rng: np.random.Generator) -> list[int]:
+    return [int(rng.integers(0, d + 1)) for d in shape.dims]
+
+
 def _random_maximal_filtered(shape: AlgebraShape, rng: np.random.Generator,
                              tols: Tolerances, tries: int = 8) -> Element | None:
     for _ in range(tries):
-        ranks = [int(rng.integers(0, d + 1)) for d in shape.dims]
+        ranks = _random_ranks(shape, rng)
         if sum(ranks) == 0:
             ranks[int(rng.integers(len(ranks)))] = 1
         a = random_socle_element(shape, ranks, rng)
@@ -297,65 +301,62 @@ def _projection_from_maximal(shape: AlgebraShape, rng: np.random.Generator,
     return ProjectionElement(total)
 
 
-def _random_ranks(shape: AlgebraShape, rng: np.random.Generator) -> list[int]:
-    return [int(rng.integers(0, d + 1)) for d in shape.dims]
-
-
 # ---------------------------------------------------------------------------
 # checkers
+
+def _verdict(ok: bool, residual: float, inputs: dict, measured: dict,
+             counters: dict | None = None) -> TrialResult:
+    """Pass or fail with ``residual``; a failure records the measurements
+    and the input elements, which are serialized only then."""
+    failure = None if ok else {
+        "inputs": {name: e.to_json() for name, e in inputs.items()},
+        "measured": measured}
+    return TrialResult(passed=ok, residual=residual, failure=failure,
+                       counters=counters or {})
+
+
+# Outcome of a trial whose input generator gave up: skipped, not decided.
+_EXHAUSTED = TrialResult(passed=False, skipped=True, counters={"generator_exhausted": 1})
+
+
+def _spectra_agree(u: Element, v: Element, inputs: dict,
+                   spec: PropertySpec) -> TrialResult:
+    """The nonzero spectra of ``u`` and ``v`` agree in Hausdorff distance."""
+    tol = 10.0 * max(tau_of(u, spec.tols), tau_of(v, spec.tols))
+    d = hausdorff(nonzero_spectrum(u, spec.tols).values(),
+                  nonzero_spectrum(v, spec.tols).values())
+    return _verdict(d <= tol, d, inputs, {"hausdorff": d, "tolerance": tol})
+
 
 def _check_jacobson(rng, spec: PropertySpec) -> TrialResult:
     shape = random_shape(spec.policy, rng)
     x = random_element(shape, rng)
     a = random_element(shape, rng)
-    xa, ax = x * a, a * x
-    tol = 10.0 * max(tau_of(xa, spec.tols), tau_of(ax, spec.tols))
-    d = hausdorff(nonzero_spectrum(xa, spec.tols).values(),
-                  nonzero_spectrum(ax, spec.tols).values())
-    if d <= tol:
-        return TrialResult(passed=True, residual=d)
-    return TrialResult(passed=False, residual=d, failure={
-        "inputs": {"x": x.to_json(), "a": a.to_json()},
-        "measured": {"hausdorff": d, "tolerance": tol}})
+    return _spectra_agree(x * a, a * x, {"x": x, "a": a}, spec)
+
+
+def _compression(rng, spec: PropertySpec):
+    """``pxp`` in the ambient, ``x`` compressed to the corner of ``p``, and
+    the inputs that reproduce both."""
+    shape = random_shape(spec.policy, rng)
+    p = _projection_from_maximal(shape, rng, spec.tols)
+    view = compressed_view(p, spec.tols)
+    x = random_element(shape, rng)
+    return p.element * x * p.element, view.compress(x), {"p": p.element, "x": x}
 
 
 def _check_compression_spectrum(rng, spec: PropertySpec) -> TrialResult:
-    shape = random_shape(spec.policy, rng)
-    p = _projection_from_maximal(shape, rng, spec.tols)
-    view = compressed_view(p, spec.tols)
-    x = random_element(shape, rng)
-    pxp = p.element * x * p.element
-    compressed = view.compress(x)
-    tol = 10.0 * max(tau_of(pxp, spec.tols), tau_of(compressed, spec.tols))
-    d = hausdorff(nonzero_spectrum(pxp, spec.tols).values(),
-                  nonzero_spectrum(compressed, spec.tols).values())
-    if d <= tol:
-        return TrialResult(passed=True, residual=d)
-    return TrialResult(passed=False, residual=d, failure={
-        "inputs": {"p": p.element.to_json(), "x": x.to_json()},
-        "measured": {"hausdorff": d, "tolerance": tol}})
+    return _spectra_agree(*_compression(rng, spec), spec)
 
 
 def _check_compression_rank(rng, spec: PropertySpec) -> TrialResult:
-    shape = random_shape(spec.policy, rng)
-    p = _projection_from_maximal(shape, rng, spec.tols)
-    view = compressed_view(p, spec.tols)
-    x = random_element(shape, rng)
-    pxp = p.element * x * p.element
-    compressed = view.compress(x)
-    cert_ambient = spectral_rank(pxp, rng=rng, tols=spec.tols)
-    cert_view = spectral_rank(compressed, rng=rng, tols=spec.tols)
-    ok = (cert_ambient.certified and cert_view.certified
-          and cert_ambient.rank == cert_view.rank)
-    residual = float(abs(cert_ambient.rank - cert_view.rank))
-    if ok:
-        return TrialResult(passed=True, residual=residual)
-    return TrialResult(passed=False, residual=residual, failure={
-        "inputs": {"p": p.element.to_json(), "x": x.to_json()},
-        "measured": {"rank_ambient": cert_ambient.rank,
-                     "rank_view": cert_view.rank,
-                     "certified_ambient": cert_ambient.certified,
-                     "certified_view": cert_view.certified}})
+    pxp, compressed, inputs = _compression(rng, spec)
+    ambient = spectral_rank(pxp, rng=rng, tols=spec.tols)
+    corner = spectral_rank(compressed, rng=rng, tols=spec.tols)
+    ok = ambient.certified and corner.certified and ambient.rank == corner.rank
+    return _verdict(ok, float(abs(ambient.rank - corner.rank)), inputs, {
+        "rank_ambient": ambient.rank, "rank_view": corner.rank,
+        "certified_ambient": ambient.certified, "certified_view": corner.certified})
 
 
 def _maximal_for_block_checks(rng, spec: PropertySpec):
@@ -370,8 +371,7 @@ def _maximal_for_block_checks(rng, spec: PropertySpec):
 def _check_block_spectra_disjoint(rng, spec: PropertySpec) -> TrialResult:
     a, path = _maximal_for_block_checks(rng, spec)
     if a is None:
-        return TrialResult(passed=False, skipped=True,
-                           counters={"generator_exhausted": 1})
+        return _EXHAUSTED
     tau = tau_of(a, spec.tols)
     per_block = [nonzero_spectrum(_block_element(a, j), spec.tols).values()
                  for j in range(len(a.shape.dims))]
@@ -381,20 +381,16 @@ def _check_block_spectra_disjoint(rng, spec: PropertySpec) -> TrialResult:
             for u in per_block[i]:
                 for v in per_block[j]:
                     min_sep = min(min_sep, abs(u - v))
-    residual = 0.0 if math.isinf(min_sep) else tau / min_sep
-    counters = {f"path_{path}": 1}
-    if math.isinf(min_sep) or min_sep > tau:
-        return TrialResult(passed=True, residual=residual, counters=counters)
-    return TrialResult(passed=False, residual=residual, counters=counters, failure={
-        "inputs": {"a": a.to_json()},
-        "measured": {"min_separation": min_sep, "tau": tau}})
+    disjoint = math.isinf(min_sep)
+    return _verdict(disjoint or min_sep > tau, 0.0 if disjoint else tau / min_sep,
+                    {"a": a}, {"min_separation": min_sep, "tau": tau},
+                    {f"path_{path}": 1})
 
 
 def _check_blockwise_maximality(rng, spec: PropertySpec) -> TrialResult:
     a, path = _maximal_for_block_checks(rng, spec)
     if a is None:
-        return TrialResult(passed=False, skipped=True,
-                           counters={"generator_exhausted": 1})
+        return _EXHAUSTED
     mismatch = 0
     detail = []
     for j, block in enumerate(a.blocks):
@@ -402,12 +398,8 @@ def _check_blockwise_maximality(rng, spec: PropertySpec) -> TrialResult:
         classical = mat_rank(block, spec.tols.rank_rel)
         detail.append({"block": j, "distinct_nonzero": distinct, "rank": classical})
         mismatch = max(mismatch, abs(distinct - classical))
-    counters = {f"path_{path}": 1}
-    if mismatch == 0:
-        return TrialResult(passed=True, residual=0.0, counters=counters)
-    return TrialResult(passed=False, residual=float(mismatch), counters=counters,
-                       failure={"inputs": {"a": a.to_json()},
-                                "measured": {"blocks": detail}})
+    return _verdict(mismatch == 0, float(mismatch), {"a": a}, {"blocks": detail},
+                    {f"path_{path}": 1})
 
 
 def _check_classical_charpoly_match(rng, spec: PropertySpec) -> TrialResult:
@@ -421,88 +413,64 @@ def _check_classical_charpoly_match(rng, spec: PropertySpec) -> TrialResult:
         product = np.polymul(product, classical_charpoly(block))
     ours = p.coefficients()
     if len(ours) != len(product):
-        return TrialResult(passed=False, residual=float("inf"), failure={
-            "inputs": {"a": a.to_json()},
-            "measured": {"degree_ours": len(ours) - 1,
-                         "degree_classical": len(product) - 1}})
+        return _verdict(False, float("inf"), {"a": a}, {
+            "degree_ours": len(ours) - 1, "degree_classical": len(product) - 1})
     scale = max(1.0, float(np.max(np.abs(product))))
     residual = float(np.max(np.abs(ours - product))) / scale
-    if residual <= spec.tols.identity_rel:
-        return TrialResult(passed=True, residual=residual)
-    return TrialResult(passed=False, residual=residual, failure={
-        "inputs": {"a": a.to_json()},
-        "measured": {"coefficient_residual": residual}})
+    return _verdict(residual <= spec.tols.identity_rel, residual, {"a": a},
+                    {"coefficient_residual": residual})
 
 
 def _check_cayley_hamilton(rng, spec: PropertySpec) -> TrialResult:
     shape = random_shape(spec.policy, rng)
     a = random_socle_element(shape, _random_ranks(shape, rng), rng)
     residual = cayley_hamilton_residual(a, rng, tols=spec.tols)
-    if residual <= spec.tols.residual:
-        return TrialResult(passed=True, residual=residual)
-    return TrialResult(passed=False, residual=residual, failure={
-        "inputs": {"a": a.to_json()},
-        "measured": {"residual": residual}})
+    return _verdict(residual <= spec.tols.residual, residual, {"a": a},
+                    {"residual": residual})
 
 
-def _rel_error(lhs: complex, rhs: complex) -> float:
-    return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+def _det_identity(rng, spec: PropertySpec, sides) -> TrialResult:
+    """A ``det(. + 1)`` identity on two random socle elements. ``sides(a, b,
+    det)`` returns its two sides; ``det`` draws from ``rng``, so the order of
+    its calls is part of the trial."""
+    shape = random_shape(spec.policy, rng)
+    a = random_socle_element(shape, _random_ranks(shape, rng), rng)
+    b = random_socle_element(shape, _random_ranks(shape, rng), rng)
+    lhs, rhs = sides(a, b, lambda x: det_plus_one(x, rng, tols=spec.tols))
+    residual = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+    return _verdict(residual <= spec.tols.identity_rel, residual, {"a": a, "b": b}, {
+        "lhs": [lhs.real, lhs.imag], "rhs": [rhs.real, rhs.imag],
+        "relative_error": residual})
 
 
 def _check_det_multiplicative(rng, spec: PropertySpec) -> TrialResult:
-    shape = random_shape(spec.policy, rng)
-    a = random_socle_element(shape, _random_ranks(shape, rng), rng)
-    b = random_socle_element(shape, _random_ranks(shape, rng), rng)
-    c = a + b + a * b  # (a+1)(b+1) = c+1
-    lhs = det_plus_one(c, rng, tols=spec.tols)
-    rhs = det_plus_one(a, rng, tols=spec.tols) * det_plus_one(b, rng, tols=spec.tols)
-    residual = _rel_error(lhs, rhs)
-    if residual <= spec.tols.identity_rel:
-        return TrialResult(passed=True, residual=residual)
-    return TrialResult(passed=False, residual=residual, failure={
-        "inputs": {"a": a.to_json(), "b": b.to_json()},
-        "measured": {"lhs": [lhs.real, lhs.imag], "rhs": [rhs.real, rhs.imag],
-                     "relative_error": residual}})
+    # (a+1)(b+1) = c+1 with c = a + b + ab
+    return _det_identity(rng, spec,
+                         lambda a, b, det: (det(a + b + a * b), det(a) * det(b)))
 
 
 def _check_sylvester(rng, spec: PropertySpec) -> TrialResult:
-    shape = random_shape(spec.policy, rng)
-    a = random_socle_element(shape, _random_ranks(shape, rng), rng)
-    b = random_socle_element(shape, _random_ranks(shape, rng), rng)
-    lhs = det_plus_one(a * b, rng, tols=spec.tols)
-    rhs = det_plus_one(b * a, rng, tols=spec.tols)
-    residual = _rel_error(lhs, rhs)
-    if residual <= spec.tols.identity_rel:
-        return TrialResult(passed=True, residual=residual)
-    return TrialResult(passed=False, residual=residual, failure={
-        "inputs": {"a": a.to_json(), "b": b.to_json()},
-        "measured": {"lhs": [lhs.real, lhs.imag], "rhs": [rhs.real, rhs.imag],
-                     "relative_error": residual}})
+    return _det_identity(rng, spec, lambda a, b, det: (det(a * b), det(b * a)))
 
 
 def _check_charpoly_continuity(rng, spec: PropertySpec) -> TrialResult:
     shape = random_shape(spec.policy, rng, min_total=2)
     a = _random_non_maximal(shape, rng, spec.tols)
     if a is None:
-        return TrialResult(passed=False, skipped=True,
-                           counters={"generator_exhausted": 1})
+        return _EXHAUSTED
     lambda0 = complex((2.0 + rng.random()) * np.exp(2j * np.pi * rng.random()))
     record = approximation_sequence(a, 6, lambda0, rng, tols=spec.tols)
     if not record.completed or len(record.steps) < 6:
-        return TrialResult(passed=False, residual=float("inf"), failure={
-            "inputs": {"a": a.to_json()},
-            "measured": {"record": record.to_json(), "reason": "aborted"}})
+        return _verdict(False, float("inf"), {"a": a},
+                        {"record": record.to_json(), "reason": "aborted"})
     dev2 = record.steps[1].deviation
     dev6 = record.steps[5].deviation
     worst_res = max(s.residual for s in record.steps)
     floor = 1e-12 * (1.0 + abs(record.reference))
-    shrunk = dev6 <= dev2 / 2.0 + floor
-    if shrunk and worst_res <= spec.tols.residual:
-        return TrialResult(passed=True, residual=worst_res)
-    return TrialResult(passed=False, residual=max(worst_res, dev6), failure={
-        "inputs": {"a": a.to_json()},
-        "measured": {"record": record.to_json(), "dev_step2": dev2,
-                     "dev_step6": dev6, "worst_step_residual": worst_res}})
+    ok = dev6 <= dev2 / 2.0 + floor and worst_res <= spec.tols.residual
+    return _verdict(ok, worst_res if ok else max(worst_res, dev6), {"a": a}, {
+        "record": record.to_json(), "dev_step2": dev2, "dev_step6": dev6,
+        "worst_step_residual": worst_res})
 
 
 def _check_multiplicity_consistency(rng, spec: PropertySpec) -> TrialResult:
@@ -510,10 +478,9 @@ def _check_multiplicity_consistency(rng, spec: PropertySpec) -> TrialResult:
     a = random_socle_element(shape, _random_ranks(shape, rng), rng)
     cert = spectral_rank(a, rng=rng, tols=spec.tols)
     if not cert.certified:
-        return TrialResult(passed=False, residual=float("inf"), failure={
-            "inputs": {"a": a.to_json()},
-            "measured": {"reason": "rank not certified",
-                         "rank": cert.rank, "oracle": cert.oracle_rank}})
+        return _verdict(False, float("inf"), {"a": a}, {
+            "reason": "rank not certified", "rank": cert.rank,
+            "oracle": cert.oracle_rank})
     records = multiplicities(a, rng, cert, with_riesz=True, tols=spec.tols)
     spec_a = spectrum(a, spec.tols)
     worst = 0
@@ -533,12 +500,9 @@ def _check_multiplicity_consistency(rng, spec: PropertySpec) -> TrialResult:
             worst = max(worst, abs(rec.m_counting - oracle0))
             detail.append({"value": [0.0, 0.0], "m_counting": rec.m_counting,
                            "oracle": oracle0})
-    degree_ok = total <= cert.rank + 1
-    if worst == 0 and degree_ok:
-        return TrialResult(passed=True, residual=0.0)
-    return TrialResult(passed=False, residual=float(worst if worst else 1), failure={
-        "inputs": {"a": a.to_json()},
-        "measured": {"records": detail, "degree": total, "rank": cert.rank}})
+    ok = worst == 0 and total <= cert.rank + 1
+    return _verdict(ok, 0.0 if ok else float(worst if worst else 1), {"a": a},
+                    {"records": detail, "degree": total, "rank": cert.rank})
 
 
 def _check_diagonalization(rng, spec: PropertySpec) -> TrialResult:
@@ -550,13 +514,11 @@ def _check_diagonalization(rng, spec: PropertySpec) -> TrialResult:
         recon = recon + value * proj.element
     residual = norm(a - recon) / (1.0 + norm(a))
     records = multiplicities(a, rng, with_riesz=False, tols=spec.tols)
-    all_one = all(rec.m_counting == 1 for rec in records)
-    if all_one and residual <= spec.tols.projection_idem:
-        return TrialResult(passed=True, residual=residual)
-    return TrialResult(passed=False, residual=residual, failure={
-        "inputs": {"a": a.to_json()},
-        "measured": {"reconstruction_residual": residual,
-                     "multiplicities": [rec.m_counting for rec in records]}})
+    ok = (all(rec.m_counting == 1 for rec in records)
+          and residual <= spec.tols.projection_idem)
+    return _verdict(ok, residual, {"a": a}, {
+        "reconstruction_residual": residual,
+        "multiplicities": [rec.m_counting for rec in records]})
 
 
 def _check_naive_det_demo(rng, spec: PropertySpec) -> TrialResult:
@@ -613,8 +575,8 @@ def run_trial(spec: PropertySpec, seed: int, index: int) -> TrialResult:
     try:
         return CHECKERS[spec.name](rng, spec)
     except SpecrankError as exc:
-        return TrialResult(passed=False, residual=FAILURE_RESIDUAL, failure={
-            "inputs": {}, "measured": {"error": f"{type(exc).__name__}: {exc}"}})
+        return _verdict(False, FAILURE_RESIDUAL, {},
+                        {"error": f"{type(exc).__name__}: {exc}"})
 
 
 def run_property(spec: PropertySpec, seed: int,
@@ -656,11 +618,6 @@ def run_property(spec: PropertySpec, seed: int,
         failures=tuple(failures[:MAX_FAILURE_RECORDS]),
         counters=tuple(sorted(counters.items())),
         notes=tuple(sorted(notes)), failures_truncated=truncated)
-
-
-def replay_failure(spec: PropertySpec, seed: int, trial_index: int) -> TrialResult:
-    """Re-run one trial from its recorded coordinates; pure recomputation."""
-    return run_trial(spec, seed, trial_index)
 
 
 @dataclass(frozen=True)

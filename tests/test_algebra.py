@@ -160,7 +160,7 @@ class TestCompression:
     def test_identity_of_view_is_compression_of_projection(self):
         p = ProjectionElement(diag_element(M2_M1, [1.0, 0.0], [1.0]))
         view = compressed_view(p)
-        assert norm(view.compress(p.underlying) - view.identity()) <= 1e-10
+        assert norm(view.compress(p.element) - view.identity()) <= 1e-10
 
     def test_nonzero_spectrum_matches_ambient(self, rng):
         # projection from contours of a well-separated element
@@ -180,7 +180,7 @@ class TestCompression:
     def test_homomorphism_on_corner(self, rng):
         p = ProjectionElement(diag_element(M2_M1, [1.0, 0.0], [1.0]))
         view = compressed_view(p)
-        pe = p.underlying
+        pe = p.element
         a = pe * random_element(M2_M1, rng) * pe
         b = pe * random_element(M2_M1, rng) * pe
         lhs = view.compress(a) * view.compress(b)

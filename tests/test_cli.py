@@ -2,6 +2,7 @@ import json
 
 import jsonschema
 import numpy as np
+import pytest
 
 import specrank.cli as cli
 from specrank.algebra import Element, INFINITE_SOCLE, ViewError
@@ -262,6 +263,40 @@ class TestDemo:
 
     def test_unknown_demo_name(self):
         assert main(["demo", "not_a_demo"]) == 2
+
+
+BAD_INPUTS = {
+    "gen_seed": ["gen", "--dims", "2", "--seed", "-1"],
+    "check_seed": ["check", "{element}", "--seed", "-1"],
+    "demo_seed": ["demo", "m3_example", "--seed", "-1"],
+    "campaign_seed": ["campaign", "--trials", "1", "--seed", "-1"],
+    "config_seed_negative": {"seed": -3, "trials": 1},
+    "config_seed_string": {"seed": "x", "trials": 1},
+    "gen_ranks_not_int": ["gen", "--dims", "2", "--ranks", "a"],
+    "gen_maximal_eig_zero": ["gen", "--dims", "2", "--maximal-eigs", "0"],
+    "config_shapes_not_list": {"shapes": 3, "trials": 1},
+    "config_shape_entry_not_int": {"shapes": [[2, "a"]], "trials": 1},
+    "config_tol_not_number": {"tol_cluster": "x", "trials": 1},
+    "config_trial_count_not_int": {"trials": {"jacobson": "x"}},
+    "config_out_not_path": {"out": ["report.json"], "trials": 1},
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_bad_seeds_and_values_are_usage_errors(tmp_path, capsys, case):
+    """Bad seeds, list entries and config values exit 2 with an error line
+    instead of escaping ``main`` as a ValueError or TypeError."""
+    spec = BAD_INPUTS[case]
+    if isinstance(spec, dict):
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps(spec))
+        argv = ["campaign", "--config", str(config_file)]
+    else:
+        element = write_element_file(tmp_path / "a.json", [1.0, 0.0])
+        argv = [str(element) if arg == "{element}" else arg for arg in spec]
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_no_command_is_usage_error():

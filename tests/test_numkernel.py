@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from specrank.numkernel import (ClusteredSpectrum, ContourError,
                                 ConvergenceError, as_matrix, classical_charpoly, cluster, eig, frobenius,
-                                hausdorff, mat_det, mat_rank, matrix_from_json,
-                                matrix_to_json, riesz_projection)
+                                hausdorff, mat_det, mat_rank, riesz_projection)
+from specrank.jsonio import matrix_to_rows, rows_to_matrix
 from conftest import make_rng
 
 
@@ -283,7 +283,7 @@ def test_hausdorff_basics():
 def test_matrix_json_round_trip(n, seed):
     rng = make_rng(seed)
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    again = matrix_from_json(matrix_to_json(m))
+    again = rows_to_matrix(matrix_to_rows(m))
     assert np.array_equal(again, m.astype(np.complex128))
 
 

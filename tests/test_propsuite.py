@@ -7,7 +7,7 @@ from specrank.config import DEFAULT_TOLS
 from specrank.multiplicity import SpectrumDomainError, UnstableMultiplicityError
 from specrank.numkernel import ContourError, ConvergenceError, SpecrankError
 from specrank.propsuite import (DEFAULT_TRIALS, PROPERTY_NAMES, CampaignSettings,
-                                PropertySpec, ShapePolicy, replay_failure,
+                                PropertySpec, ShapePolicy,
                                 run_campaign, run_property, run_trial)
 from specrank.rank import IllConditionedError, UncertifiedRankError
 
@@ -96,7 +96,7 @@ def test_forced_failures_record_and_replay():
     report = run_property(spec, seed=2718)
     assert report.fail_count > 0
     failure = report.failures[0]
-    again = replay_failure(spec, seed=2718, trial_index=failure["trial"])
+    again = run_trial(spec, seed=2718, index=failure["trial"])
     assert not again.passed
     assert again.failure["measured"]["residual"] == failure["measured"]["residual"]
 
