@@ -222,9 +222,31 @@ def _spectrum_of(values: np.ndarray, shape: AlgebraShape,
                  tols: Tolerances) -> ClusteredSpectrum:
     """``spectrum`` of an element of ``shape`` whose block eigenvalues,
     concatenated, are ``values``."""
-    tau = tols.tau(_spectral_radius(values))
-    points = list(cluster(values, tau).points)
-    # snap the representative nearest 0 to exactly 0 when within tau
+    return _spectra_of(values[None], shape, tols)[0]
+
+
+def _spectra_of(rows: np.ndarray, shape: AlgebraShape,
+                tols: Tolerances) -> list[ClusteredSpectrum]:
+    """``_spectrum_of`` for each row of ``rows``, with one ``cluster`` call
+    for all of them. A failing row raises the error its own
+    ``_spectrum_of`` would, and only after the rows before it succeed."""
+    taus = []
+    for rho in np.abs(rows).max(axis=1, initial=0.0).tolist():
+        if not math.isfinite(rho):
+            break
+        taus.append(tols.tau(rho))
+    good = len(taus)
+    spectra = [_snap_zero(spec, shape) for spec in cluster(rows[:good], taus)]
+    if good < len(rows):
+        _spectral_radius(rows[good])  # raises NonFiniteError
+    return spectra
+
+
+def _snap_zero(spec: ClusteredSpectrum, shape: AlgebraShape) -> ClusteredSpectrum:
+    """Snap the representative nearest 0 to exactly 0 when within tau; in the
+    infinite ambient, adjoin 0 with count 0 when no value sits there."""
+    tau = spec.tol
+    points = list(spec.points)
     near = [(abs(v), i) for i, (v, _) in enumerate(points) if abs(v) <= tau]
     if near:
         _, i = min(near)
@@ -235,21 +257,20 @@ def _spectrum_of(values: np.ndarray, shape: AlgebraShape,
     return ClusteredSpectrum(points=tuple(points), tol=tau)
 
 
-def witness_spectra(a: Element, witnesses,
+def witness_spectra(a: Element, stacks,
                     tols: Tolerances = DEFAULT_TOLS) -> list[ClusteredSpectrum]:
-    """``spectrum(x * a, tols)`` for each witness ``x``, given as a tuple of
-    raw blocks, without building the products as elements: block ``j`` of
-    all products is one stacked matmul and one stacked ``eig`` call, which
-    also validates the products. Raises ``ConvergenceError`` when any
-    product's eigenvalue iteration fails and ``NonFiniteError`` when a
-    product overflows."""
+    """``spectrum(x * a, tols)`` for each witness ``x`` of a round, given as
+    one ``(k, d, d)`` stack of raw blocks per block of ``a``, without
+    building the products as elements: block ``j`` of all products is one
+    stacked matmul and one stacked ``eig`` call, which also validates the
+    products, and all ``k`` spectra are one ``cluster`` call. Raises
+    ``ConvergenceError`` when any product's eigenvalue iteration fails and
+    ``NonFiniteError`` when a product overflows."""
     try:
-        per_block = [eig(np.stack([x[j] for x in witnesses]) @ b)
-                     for j, b in enumerate(a.blocks)]
+        per_block = [eig(x @ b) for x, b in zip(stacks, a.blocks)]
     except ValueError as exc:  # square products of valid blocks: they overflowed
         raise NonFiniteError(f"witness product overflowed: {exc}") from exc
-    return [_spectrum_of(np.concatenate([v[i] for v in per_block]), a.shape, tols)
-            for i in range(len(witnesses))]
+    return _spectra_of(np.concatenate(per_block, axis=1), a.shape, tols)
 
 
 def nonzero_spectrum(a: Element, tols: Tolerances = DEFAULT_TOLS) -> ClusteredSpectrum:
@@ -371,13 +392,32 @@ def compressed_view(p: ProjectionElement, tols: Tolerances = DEFAULT_TOLS) -> Co
 def ginibre(rng: np.random.Generator, n: int, m: int | None = None) -> np.ndarray:
     """i.i.d. standard complex Gaussian entries scaled by ``1/sqrt(n)``."""
     m = n if m is None else m
-    g = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-    return g / np.sqrt(2.0 * n)
+    return _ginibre_of(rng.standard_normal((n, m)), rng.standard_normal((n, m)), n)
+
+
+def _ginibre_of(re: np.ndarray, im: np.ndarray, n: int) -> np.ndarray:
+    return (re + 1j * im) / np.sqrt(2.0 * n)
+
+
+def random_block_stacks(shape: AlgebraShape, rng: np.random.Generator,
+                        count: int) -> tuple[np.ndarray, ...]:
+    """``count`` successive ``random_blocks`` draws as one ``(count, d, d)``
+    stack per block, from one ``standard_normal`` call: the same numbers,
+    and the generator left where the draws one by one would leave it."""
+    sizes = [d * d for d in shape.dims]
+    z = rng.standard_normal((count, 2 * sum(sizes)))
+    stacks, start = [], 0
+    for d, size in zip(shape.dims, sizes):
+        re = z[:, start:start + size].reshape(count, d, d)
+        im = z[:, start + size:start + 2 * size].reshape(count, d, d)
+        stacks.append(_ginibre_of(re, im, d))
+        start += 2 * size
+    return tuple(stacks)
 
 
 def random_blocks(shape: AlgebraShape, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
     """One Ginibre matrix per block, drawn in block order."""
-    return tuple(ginibre(rng, d) for d in shape.dims)
+    return tuple(s[0] for s in random_block_stacks(shape, rng, 1))
 
 
 def random_element(shape: AlgebraShape, rng: np.random.Generator) -> Element:

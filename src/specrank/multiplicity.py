@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .algebra import (Element, norm, random_blocks, riesz_blocks, spectrum,
-                      witness_spectra)
+from .algebra import (Element, norm, random_block_stacks, riesz_blocks,
+                      spectrum, witness_spectra)
 from .config import DEFAULT_TOLS, Tolerances
 from .jsonio import complex_to_pair
 from .numkernel import SpecrankError
@@ -102,8 +102,9 @@ def multiplicities(a: Element, rng: np.random.Generator,
     reported unstable.
 
     Witnesses are drawn in rounds of as many as accepted samples are still
-    missing (never more than the rejections left before giving up) and
-    decomposed together by ``witness_spectra``; they never become elements.
+    missing (never more than the rejections left before giving up), each
+    round one ``random_block_stacks`` draw decomposed together by
+    ``witness_spectra``; they never become elements.
     """
     cert = certificate or spectral_rank(a, rng=rng, tols=tols)
     require_certified(cert)
@@ -124,9 +125,9 @@ def multiplicities(a: Element, rng: np.random.Generator,
         nonlocal rejected
         while wanted:
             size = min(wanted, config.CONDITION_RETRIES - rejected)
-            witnesses = [tuple(e + scale * g for e, g in zip(one, random_blocks(a.shape, rng)))
-                         for _ in range(size)]
-            for xa_spec in witness_spectra(a, witnesses, tols):
+            stacks = tuple(e + scale * g for e, g in
+                           zip(one, random_block_stacks(a.shape, rng, size)))
+            for xa_spec in witness_spectra(a, stacks, tols):
                 if len(xa_spec.nonzero().points) != cert.rank:
                     rejected += 1
                     if rejected == config.CONDITION_RETRIES:

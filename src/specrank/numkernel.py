@@ -131,44 +131,136 @@ class ClusteredSpectrum:
         return ClusteredSpectrum(points=pts, tol=float(tol))
 
 
-def cluster(values, tol: float) -> ClusteredSpectrum:
+# a numpy pair distance within this relative band of the tolerance is
+# re-decided with Python's abs: numpy's complex abs can differ from it in the
+# last bit, and the decision must match the Python one exactly
+_TOL_BAND = 1e-12
+
+
+def cluster(values, tol) -> ClusteredSpectrum | list[ClusteredSpectrum]:
     """Single-linkage clustering of complex values at tolerance ``tol``.
 
     Each cluster is represented by its count-weighted mean. Representatives
     are re-merged until they are pairwise more than ``tol`` apart, so the
     distinctness invariant holds even for chained clusters.
+
+    A ``(k, N)`` stack of values with a sequence of ``k`` tolerances gives
+    one ``ClusteredSpectrum`` per row from one pass: the pair distances of
+    all rows are one ``(k, N, N)`` array. Any other input with a scalar
+    ``tol`` is flattened and clustered as the ``k = 1`` case. Clusters are
+    numbered by their lowest index and the means summed in input order, so
+    the result does not depend on how many rows share the call. A row whose
+    pair distance or cluster mean overflows raises ``NonFiniteError``; with
+    several such rows, the first one's error is raised.
     """
-    if tol <= 0:
+    if not isinstance(tol, (list, tuple, np.ndarray)):
+        rows = np.asarray(values, dtype=np.complex128).reshape(1, -1)
+        return _cluster_rows(rows, [tol])[0]
+    return _cluster_rows(np.asarray(values, dtype=np.complex128), list(tol))
+
+
+def _cluster_rows(rows: np.ndarray, tols: list) -> list[ClusteredSpectrum]:
+    if rows.ndim != 2 or len(rows) != len(tols):
+        raise ValueError(f"expected one tolerance per row, got {len(tols)} "
+                         f"for values of shape {rows.shape}")
+    if any(tol <= 0 for tol in tols):
         raise ValueError("cluster tolerance must be positive")
-    vals = [complex(v) for v in np.asarray(values, dtype=np.complex128).ravel()]
-    if not vals:
-        return ClusteredSpectrum(points=(), tol=tol)
+    k, n = rows.shape
+    if k == 0 or n == 0:
+        return [ClusteredSpectrum(points=(), tol=tol) for tol in tols]
 
-    # union-find single linkage on all pairs within tol
-    parent = list(range(len(vals)))
+    # pairs clearly within tol, and pairs whose numpy distance is too close
+    # to tol, or not finite, to trust its last bit
+    lo = np.array([tol * (1.0 - _TOL_BAND) for tol in tols])[:, None, None]
+    hi = [tol * (1.0 + _TOL_BAND) for tol in tols]
+    with np.errstate(over="ignore", invalid="ignore"):
+        dist = np.abs(rows[:, :, None] - rows[:, None, :])
+        near = dist < lo
+        unsure = near ^ (dist <= np.array(hi)[:, None, None])
+        if not dist.max() < np.inf:
+            unsure |= ~np.isfinite(dist)
+    values = rows.tolist()
+    bad_row, overflow = k, None
+    for r, i, j in zip(*np.nonzero(unsure)) if np.count_nonzero(unsure) else ():
+        if i > j:  # the pair (j, i) was decided
+            continue
+        try:  # |v_i - v_j| beyond the largest float
+            close = abs(values[r][i] - values[r][j]) <= tols[r]
+        except OverflowError as exc:
+            bad_row, overflow = r, exc
+            break
+        near[r, i, j] = near[r, j, i] = close
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    labels, same = _components(near)
+    # the means of singletons keep their distances; otherwise the bound of
+    # ``_means_apart`` spares the re-merge loop on most rows, which pays
+    # only when several rows share its cost
+    if same is None or k == 1:
+        apart = [same is None] * k
+    else:
+        apart = _means_apart(rows, dist, same, hi)
 
-    try:
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                if abs(vals[i] - vals[j]) <= tol:
-                    ri, rj = find(i), find(j)
-                    if ri != rj:
-                        parent[rj] = ri
-    except OverflowError as exc:  # |v_i - v_j| beyond the largest float
-        raise NonFiniteError(f"distance between spectral values: {exc}") from exc
+    spectra = []
+    for r in range(k):
+        if r == bad_row:
+            raise NonFiniteError(
+                f"distance between spectral values: {overflow}") from overflow
+        groups: dict[int, list[complex]] = {}
+        for label, v in zip(labels[r], values[r]):
+            groups.setdefault(label, []).append(v)
+        points = [(sum(g) / len(g), len(g)) for g in groups.values()]
+        if not apart[r]:
+            _merge_close(points, tols[r])
+        if not all(cmath.isfinite(v) for v, _ in points):
+            raise NonFiniteError("cluster mean overflowed to a non-finite value")
+        points.sort(key=lambda p: (p[0].real, p[0].imag))
+        spectra.append(ClusteredSpectrum(points=tuple(points), tol=tols[r]))
+    return spectra
 
-    groups: dict[int, list[complex]] = {}
-    for i, v in enumerate(vals):
-        groups.setdefault(find(i), []).append(v)
-    points = [(sum(g) / len(g), len(g)) for g in groups.values()]
 
-    # enforce representative separation: merge cluster means within tol
+def _components(near: np.ndarray):
+    """Single-linkage clusters of each row of a ``(k, N, N)`` adjacency with
+    a true diagonal: per row, the lowest index in each value's cluster, and
+    the ``(k, N, N)`` same-cluster relation (None when every value is its
+    own cluster). The relation is the transitive closure of ``near`` by
+    repeated squaring, a float matmul (far faster than a boolean one)
+    clipped to 1, until no pair is added."""
+    k, n, _ = near.shape
+    links = np.count_nonzero(near)
+    if links == k * n:
+        return [range(n)] * k, None
+    reach = near.astype(np.float64)
+    while True:
+        grown = reach @ reach
+        count = np.count_nonzero(grown)
+        if count == links:
+            break
+        reach, links = np.minimum(grown, 1.0, out=grown), count
+    return reach.argmax(axis=2).tolist(), reach > 0
+
+
+def _means_apart(rows, dist, same, hi) -> list[bool]:
+    """Per row, whether its cluster means are surely more than ``hi`` apart,
+    so that re-merging them would change nothing.
+
+    A mean lies in its cluster's convex hull, so it is within the cluster's
+    diameter of each member. Two means are then at least the least distance
+    between clusters less twice the largest diameter apart. The margin
+    covers the rounding of the sums behind the means, about ``N**2`` ulps of
+    the row's largest value at most.
+    """
+    n = rows.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        diameter = np.where(same, dist, 0.0).max(axis=(1, 2)).tolist()
+        gap = np.where(same, np.inf, dist).min(axis=(1, 2)).tolist()
+        scale = np.abs(rows).max(axis=1).tolist()
+    return [g - 2.0 * d > h + 1e-15 * n * n * m
+            for g, d, h, m in zip(gap, diameter, hi, scale)]
+
+
+def _merge_close(points: list, tol: float):
+    """Merge cluster means within ``tol`` of each other, first pair first,
+    until none are left."""
     merged = True
     while merged and len(points) > 1:
         merged = False
@@ -182,11 +274,6 @@ def cluster(values, tol: float) -> ClusteredSpectrum:
                     break
             if merged:
                 break
-
-    if not all(cmath.isfinite(v) for v, _ in points):
-        raise NonFiniteError("cluster mean overflowed to a non-finite value")
-    points.sort(key=lambda p: (p[0].real, p[0].imag))
-    return ClusteredSpectrum(points=tuple(points), tol=tol)
 
 
 def mat_rank(m, tol: float) -> int:

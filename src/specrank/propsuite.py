@@ -25,7 +25,7 @@ from .config import DEFAULT_TOLS, Tolerances
 from .jsonio import dumps_canonical
 from .multiplicity import multiplicities, multiplicity_oracle
 from .numkernel import SpecrankError, classical_charpoly, hausdorff, mat_rank
-from .rank import make_maximal, spectral_rank
+from .rank import IndistinctValuesError, make_maximal, spectral_rank
 
 
 @dataclass(frozen=True)
@@ -574,6 +574,10 @@ def run_trial(spec: PropertySpec, seed: int, index: int) -> TrialResult:
     rng = trial_rng(seed, spec.name, index)
     try:
         return CHECKERS[spec.name](rng, spec)
+    except IndistinctValuesError:
+        # a generator drew values that ``make_maximal`` cannot separate at
+        # the trial's tau (a coarse clustering tolerance): it gave up
+        return _EXHAUSTED
     except SpecrankError as exc:
         return _verdict(False, FAILURE_RESIDUAL, {},
                         {"error": f"{type(exc).__name__}: {exc}"})

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import config
 from .algebra import (AlgebraShape, Element, count_nonzero_spectrum, ginibre,
-                      identity, random_blocks, witness_spectra, zero)
+                      identity, random_block_stacks, witness_spectra, zero)
 from .config import DEFAULT_TOLS, Tolerances
 from .numkernel import ConvergenceError, SpecrankError, mat_rank
 
@@ -27,6 +27,11 @@ class UncertifiedRankError(SpecrankError):
 
 class IllConditionedError(SpecrankError):
     """Raised when no well-conditioned random similarity is found."""
+
+
+class IndistinctValuesError(ValueError):
+    """Raised when ``make_maximal`` is given values that are not nonzero and
+    pairwise distinct at the tolerance it is called with."""
 
 
 @dataclass(frozen=True)
@@ -70,15 +75,17 @@ def require_certified(cert: RankCertificate):
             f"rank {cert.rank} {side} oracle {cert.oracle_rank}")
 
 
-def _spectra_or_errors(a: Element, witnesses, tols: Tolerances) -> list:
+def _spectra_or_errors(a: Element, stacks, tols: Tolerances) -> list:
     """``witness_spectra``, with the ``ConvergenceError`` of a witness in
     place of its spectrum; a failing round is redone one witness at a time."""
     try:
-        return witness_spectra(a, witnesses, tols)
+        return witness_spectra(a, stacks, tols)
     except ConvergenceError as exc:
-        if len(witnesses) == 1:
+        count = len(stacks[0])
+        if count == 1:
             return [exc]
-        return [_spectra_or_errors(a, [x], tols)[0] for x in witnesses]
+        return [_spectra_or_errors(a, tuple(s[i:i + 1] for s in stacks), tols)[0]
+                for i in range(count)]
 
 
 def rank_oracle(a: Element, tols: Tolerances = DEFAULT_TOLS) -> int:
@@ -98,9 +105,10 @@ def spectral_rank(a: Element, samples: int = config.RANK_SAMPLES,
     witnesses before the certificate is flagged uncertified. A witness whose
     eigenvalue iteration fails is skipped and replaced by the next draw.
 
-    The first ``samples`` draws always happen, so they are decomposed as one
-    round (``witness_spectra``); each escalation draw can end the loop, so
-    it is a round of its own. Only the best witness becomes an ``Element``.
+    The first ``samples`` draws always happen, so they are drawn as one
+    round (``random_block_stacks``) and decomposed together
+    (``witness_spectra``); each escalation draw can end the loop, so it is a
+    round of its own. Only the best witness becomes an ``Element``.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -113,8 +121,8 @@ def spectral_rank(a: Element, samples: int = config.RANK_SAMPLES,
     drawn = failures = 0
     budget = max(samples, escalate_to)
     while drawn < samples or (best < oracle and drawn < budget):
-        witnesses = [random_blocks(a.shape, rng) for _ in range(max(samples - drawn, 1))]
-        for x, spec in zip(witnesses, _spectra_or_errors(a, witnesses, tols)):
+        stacks = random_block_stacks(a.shape, rng, max(samples - drawn, 1))
+        for i, spec in enumerate(_spectra_or_errors(a, stacks, tols)):
             if isinstance(spec, ConvergenceError):
                 failures += 1
                 if failures > 2 * budget:
@@ -123,7 +131,7 @@ def spectral_rank(a: Element, samples: int = config.RANK_SAMPLES,
             drawn += 1
             count = len(spec.nonzero().points)
             if count > best:
-                best, best_witness, best_spec = count, x, spec
+                best, best_witness, best_spec = count, tuple(s[i] for s in stacks), spec
 
     tau = best_spec.tol  # tau_of the best product
     fragile = any(abs(v) <= 10.0 * tau for v in best_spec.nonzero().values())
@@ -178,10 +186,10 @@ def make_maximal(shape: AlgebraShape, nonzero_eigs,
     sep_floor = tols.tau(max(abs(e) for e in eigs))
     for i in range(len(eigs)):
         if abs(eigs[i]) <= sep_floor:
-            raise ValueError("eigenvalues must be nonzero")
+            raise IndistinctValuesError("eigenvalues must be nonzero")
         for j in range(i + 1, len(eigs)):
             if abs(eigs[i] - eigs[j]) <= sep_floor:
-                raise ValueError("eigenvalues must be pairwise distinct")
+                raise IndistinctValuesError("eigenvalues must be pairwise distinct")
 
     k = len(shape.dims)
     if assignment is None:

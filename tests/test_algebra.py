@@ -314,21 +314,21 @@ class TestSpectrumCache:
         rng = make_rng(61)
         shape = AlgebraShape(dims=(3, 1, 4), ambient=ambient)
         a = random_socle_element(shape, (2, 1, 0), rng)
-        witnesses = [algebra_module.random_blocks(shape, rng) for _ in range(6)]
-        spectra = algebra_module.witness_spectra(a, witnesses)
-        assert spectra == [spectrum(Element(shape, x) * a) for x in witnesses]
+        stacks = algebra_module.random_block_stacks(shape, rng, 6)
+        spectra = algebra_module.witness_spectra(a, stacks)
+        assert spectra == [spectrum(Element(shape, tuple(s[i] for s in stacks)) * a)
+                           for i in range(6)]
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")
     def test_witness_spectra_reject_nonfinite_products(self):
         shape = AlgebraShape(dims=(2,))
         a = diag_element(shape, [1e308, 1.0])
-        witnesses = [(np.eye(2, dtype=np.complex128),),
-                     (10.0 * np.eye(2, dtype=np.complex128),)]
+        stacks = (np.stack([np.eye(2), 10.0 * np.eye(2)]).astype(np.complex128),)
         # the products of valid blocks overflowed: a typed numeric failure,
         # not the ValueError that rejects a non-finite input
         with pytest.raises(NonFiniteError, match="witness product"):
-            algebra_module.witness_spectra(a, witnesses)
+            algebra_module.witness_spectra(a, stacks)
 
     def test_cached_eigenvalues_are_read_only(self):
         a = diag_element(M2_M1, [1.0, 2.0], [3.0])

@@ -192,6 +192,21 @@ class TestCampaign:
                      "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_coarse_tolerance_counts_skips(self, tmp_path):
+        # make_maximal rejects inputs drawn 0.12 apart at tau = 0.5 rho; the
+        # properties built on it skip those trials instead of aborting
+        maximal = ("compression_spectrum", "compression_rank",
+                   "block_spectra_disjoint", "blockwise_maximality",
+                   "classical_charpoly_match", "diagonalization")
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps(
+            {"trials": {name: 2 if name in maximal else 0 for name in PROPERTY_NAMES}}))
+        out = tmp_path / "report.json"
+        assert main(["campaign", "--config", str(config_file), "--tol-cluster", "0.5",
+                     "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["total_skipped"] > 0
+
     def test_invalid_tolerance_is_usage_error(self, tmp_path):
         config_file = tmp_path / "config.json"
         config_file.write_text(json.dumps({"tol_cluster": 0.0, "trials": 1}))

@@ -3,7 +3,7 @@ import pytest
 import specrank.propsuite as propsuite
 from specrank.algebra import ViewError
 from specrank.charpoly import DiagonalizationError
-from specrank.config import DEFAULT_TOLS
+from specrank.config import DEFAULT_TOLS, Tolerances
 from specrank.multiplicity import SpectrumDomainError, UnstableMultiplicityError
 from specrank.numkernel import ContourError, ConvergenceError, SpecrankError
 from specrank.propsuite import (DEFAULT_TRIALS, PROPERTY_NAMES, CampaignSettings,
@@ -151,3 +151,20 @@ def test_zero_counting_multiplicity_fails_trial_without_raising():
     result = run_trial(spec, 110, 386)
     assert not result.passed
     assert result.failure["measured"]["error"].startswith("UnstableMultiplicityError")
+
+
+# the properties whose inputs come from ``make_maximal``
+MAKE_MAXIMAL_PROPERTIES = ("compression_spectrum", "compression_rank",
+                           "block_spectra_disjoint", "blockwise_maximality",
+                           "classical_charpoly_match", "diagonalization")
+
+
+@pytest.mark.parametrize("name", MAKE_MAXIMAL_PROPERTIES)
+def test_coarse_tolerance_skips_inseparable_inputs(name):
+    """At tau = 0.5 rho the generators draw values 0.12 apart that
+    ``make_maximal`` rejects; the trial is a generator skip, not an abort."""
+    spec = PropertySpec(name=name, trials=6, tols=Tolerances(cluster_rel=0.5))
+    report = run_property(spec, 5)
+    assert report.skip_count > 0
+    assert dict(report.counters)["generator_exhausted"] == report.skip_count
+    assert report.pass_count + report.fail_count + report.skip_count == 6

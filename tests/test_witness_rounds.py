@@ -205,3 +205,21 @@ def test_failed_witness_in_first_round_is_replaced(monkeypatch):
     assert_same_certificate(cert, ref)
     assert cert.samples_used == config.RANK_SAMPLES
     assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("dims", [(1,), (3, 2), (6, 1, 3), (3, 5, 2, 6)])
+@pytest.mark.parametrize("count", [1, 2, 7])
+def test_block_stacks_are_successive_draws(dims, count):
+    """One ``standard_normal`` call per round gives the blocks of ``count``
+    ``random_blocks`` calls bit for bit, which are the per-block Ginibre
+    draws, and leaves the generator where they leave it."""
+    shape = AlgebraShape(dims=dims)
+    rng, ref_rng, ginibre_rng = make_rng(9), make_rng(9), make_rng(9)
+    stacks = algebra.random_block_stacks(shape, rng, count)
+    for i in range(count):
+        ref = algebra.random_blocks(shape, ref_rng)
+        old = [algebra.ginibre(ginibre_rng, d) for d in dims]
+        for s, r, g in zip(stacks, ref, old):
+            assert s.shape == (count,) + r.shape
+            assert s[i].tobytes() == r.tobytes() == g.tobytes()
+    assert rng.random() == ref_rng.random() == ginibre_rng.random()
