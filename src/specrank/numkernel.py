@@ -136,6 +136,11 @@ class ClusteredSpectrum:
 # last bit, and the decision must match the Python one exactly
 _TOL_BAND = 1e-12
 
+# rows are clustered in chunks of at most this many value pairs (at least one
+# row each), which bounds the pair arrays at a few MB per row of a few
+# hundred values while a whole round of a typical spectrum is one chunk
+_PAIR_BUDGET = 1 << 16
+
 
 def cluster(values, tol) -> ClusteredSpectrum | list[ClusteredSpectrum]:
     """Single-linkage clustering of complex values at tolerance ``tol``.
@@ -145,12 +150,12 @@ def cluster(values, tol) -> ClusteredSpectrum | list[ClusteredSpectrum]:
     distinctness invariant holds even for chained clusters.
 
     A ``(k, N)`` stack of values with a sequence of ``k`` tolerances gives
-    one ``ClusteredSpectrum`` per row from one pass: the pair distances of
-    all rows are one ``(k, N, N)`` array. Any other input with a scalar
-    ``tol`` is flattened and clustered as the ``k = 1`` case. Clusters are
-    numbered by their lowest index and the means summed in input order, so
-    the result does not depend on how many rows share the call. A row whose
-    pair distance or cluster mean overflows raises ``NonFiniteError``; with
+    one ``ClusteredSpectrum`` per row: the pair distances of a chunk of rows
+    are one ``(rows, N, N)`` array. Any other input with a scalar ``tol`` is
+    flattened and clustered as the ``k = 1`` case. Clusters are numbered by
+    their lowest index and the means summed in input order, so the result
+    does not depend on how many rows share the call. A row whose pair
+    distance or cluster mean overflows raises ``NonFiniteError``; with
     several such rows, the first one's error is raised.
     """
     if not isinstance(tol, (list, tuple, np.ndarray)):
@@ -166,17 +171,23 @@ def _cluster_rows(rows: np.ndarray, tols: list) -> list[ClusteredSpectrum]:
     if any(tol <= 0 for tol in tols):
         raise ValueError("cluster tolerance must be positive")
     k, n = rows.shape
-    if k == 0 or n == 0:
+    if n == 0:
         return [ClusteredSpectrum(points=(), tol=tol) for tol in tols]
+    step = max(1, _PAIR_BUDGET // (n * n))
+    return [spectrum for r in range(0, k, step)
+            for spectrum in _cluster_chunk(rows[r:r + step], tols[r:r + step])]
 
+
+def _cluster_chunk(rows: np.ndarray, tols: list) -> list[ClusteredSpectrum]:
+    k, n = rows.shape
     # pairs clearly within tol, and pairs whose numpy distance is too close
     # to tol, or not finite, to trust its last bit
     lo = np.array([tol * (1.0 - _TOL_BAND) for tol in tols])[:, None, None]
-    hi = [tol * (1.0 + _TOL_BAND) for tol in tols]
+    hi = np.array([tol * (1.0 + _TOL_BAND) for tol in tols])[:, None, None]
     with np.errstate(over="ignore", invalid="ignore"):
         dist = np.abs(rows[:, :, None] - rows[:, None, :])
         near = dist < lo
-        unsure = near ^ (dist <= np.array(hi)[:, None, None])
+        unsure = near ^ (dist <= hi)
         if not dist.max() < np.inf:
             unsure |= ~np.isfinite(dist)
     values = rows.tolist()
@@ -191,25 +202,16 @@ def _cluster_rows(rows: np.ndarray, tols: list) -> list[ClusteredSpectrum]:
             break
         near[r, i, j] = near[r, j, i] = close
 
-    labels, same = _components(near)
-    # the means of singletons keep their distances; otherwise the bound of
-    # ``_means_apart`` spares the re-merge loop on most rows, which pays
-    # only when several rows share its cost
-    if same is None or k == 1:
-        apart = [same is None] * k
-    else:
-        apart = _means_apart(rows, dist, same, hi)
-
     spectra = []
-    for r in range(k):
+    for r, labels in enumerate(_components(near)):
         if r == bad_row:
             raise NonFiniteError(
                 f"distance between spectral values: {overflow}") from overflow
         groups: dict[int, list[complex]] = {}
-        for label, v in zip(labels[r], values[r]):
+        for label, v in zip(labels, values[r]):
             groups.setdefault(label, []).append(v)
         points = [(sum(g) / len(g), len(g)) for g in groups.values()]
-        if not apart[r]:
+        if len(points) < n:  # singleton means are the values, decided apart
             _merge_close(points, tols[r])
         if not all(cmath.isfinite(v) for v, _ in points):
             raise NonFiniteError("cluster mean overflowed to a non-finite value")
@@ -218,44 +220,26 @@ def _cluster_rows(rows: np.ndarray, tols: list) -> list[ClusteredSpectrum]:
     return spectra
 
 
-def _components(near: np.ndarray):
+def _components(near: np.ndarray) -> list[list[int]]:
     """Single-linkage clusters of each row of a ``(k, N, N)`` adjacency with
-    a true diagonal: per row, the lowest index in each value's cluster, and
-    the ``(k, N, N)`` same-cluster relation (None when every value is its
-    own cluster). The relation is the transitive closure of ``near`` by
-    repeated squaring, a float matmul (far faster than a boolean one)
-    clipped to 1, until no pair is added."""
-    k, n, _ = near.shape
-    links = np.count_nonzero(near)
-    if links == k * n:
-        return [range(n)] * k, None
-    reach = near.astype(np.float64)
-    while True:
-        grown = reach @ reach
-        count = np.count_nonzero(grown)
-        if count == links:
-            break
-        reach, links = np.minimum(grown, 1.0, out=grown), count
-    return reach.argmax(axis=2).tolist(), reach > 0
+    a true diagonal: per row, the lowest index in each value's cluster.
 
-
-def _means_apart(rows, dist, same, hi) -> list[bool]:
-    """Per row, whether its cluster means are surely more than ``hi`` apart,
-    so that re-merging them would change nothing.
-
-    A mean lies in its cluster's convex hull, so it is within the cluster's
-    diameter of each member. Two means are then at least the least distance
-    between clusters less twice the largest diameter apart. The margin
-    covers the rounding of the sums behind the means, about ``N**2`` ulps of
-    the row's largest value at most.
+    Every value starts labelled by its least neighbour. A pass gives each
+    value the least label among its neighbours, then that label's own label,
+    and passes repeat until no label changes. Each pass costs ``O(k N**2)``;
+    a clique, the usual shape of a cluster, is settled from the start.
     """
-    n = rows.shape[1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        diameter = np.where(same, dist, 0.0).max(axis=(1, 2)).tolist()
-        gap = np.where(same, np.inf, dist).min(axis=(1, 2)).tolist()
-        scale = np.abs(rows).max(axis=1).tolist()
-    return [g - 2.0 * d > h + 1e-15 * n * n * m
-            for g, d, h, m in zip(gap, diameter, hi, scale)]
+    k, n, _ = near.shape
+    if np.count_nonzero(near) == k * n:  # no value near another
+        return [list(range(n))] * k
+    row = np.arange(k)[:, None]
+    labels = near.argmax(axis=2)
+    while True:
+        least = np.where(near, labels[:, None, :], n).min(axis=2)
+        least = least[row, least]
+        if (least == labels).all():
+            return labels.tolist()
+        labels = least
 
 
 def _merge_close(points: list, tol: float):

@@ -199,7 +199,10 @@ def _random_distinct_values(rng: np.random.Generator, count: int,
 
 def _random_maximal_constructed(shape: AlgebraShape, rng: np.random.Generator,
                                 tols: Tolerances, spread_blocks: bool = False,
-                                max_values: int = 4) -> Element:
+                                max_values: int = 4) -> Element | None:
+    """A rank-assuming element built by ``make_maximal`` from random values,
+    or None when the values are not separable at the trial's tau (a coarse
+    clustering tolerance)."""
     total = shape.total_dim
     k = len(shape.dims)
     n_values = int(rng.integers(1, min(total, max_values) + 1))
@@ -219,7 +222,10 @@ def _random_maximal_constructed(shape: AlgebraShape, rng: np.random.Generator,
                     break
             assignment.append(j)
             level[j] += 1
-    return make_maximal(shape, values, rng, assignment=assignment, tols=tols)
+    try:
+        return make_maximal(shape, values, rng, assignment=assignment, tols=tols)
+    except IndistinctValuesError:
+        return None
 
 
 def _random_ranks(shape: AlgebraShape, rng: np.random.Generator) -> list[int]:
@@ -286,10 +292,12 @@ def _block_element(a: Element, j: int) -> Element:
 
 
 def _projection_from_maximal(shape: AlgebraShape, rng: np.random.Generator,
-                             tols: Tolerances) -> ProjectionElement:
+                             tols: Tolerances) -> ProjectionElement | None:
     """Sum of a random subset of the spectral projectors of a random
-    rank-assuming element."""
+    rank-assuming element, or None when none could be built."""
     m = _random_maximal_constructed(shape, rng, tols)
+    if m is None:
+        return None
     pairs = diagonalize_maximal(m, rng, tols=tols)
     mask = rng.random(len(pairs)) < 0.6
     if not mask.any():
@@ -337,20 +345,28 @@ def _check_jacobson(rng, spec: PropertySpec) -> TrialResult:
 
 def _compression(rng, spec: PropertySpec):
     """``pxp`` in the ambient, ``x`` compressed to the corner of ``p``, and
-    the inputs that reproduce both."""
+    the inputs that reproduce both; None when ``p`` could not be built."""
     shape = random_shape(spec.policy, rng)
     p = _projection_from_maximal(shape, rng, spec.tols)
+    if p is None:
+        return None
     view = compressed_view(p, spec.tols)
     x = random_element(shape, rng)
     return p.element * x * p.element, view.compress(x), {"p": p.element, "x": x}
 
 
 def _check_compression_spectrum(rng, spec: PropertySpec) -> TrialResult:
-    return _spectra_agree(*_compression(rng, spec), spec)
+    compression = _compression(rng, spec)
+    if compression is None:
+        return _EXHAUSTED
+    return _spectra_agree(*compression, spec)
 
 
 def _check_compression_rank(rng, spec: PropertySpec) -> TrialResult:
-    pxp, compressed, inputs = _compression(rng, spec)
+    compression = _compression(rng, spec)
+    if compression is None:
+        return _EXHAUSTED
+    pxp, compressed, inputs = compression
     ambient = spectral_rank(pxp, rng=rng, tols=spec.tols)
     corner = spectral_rank(compressed, rng=rng, tols=spec.tols)
     ok = ambient.certified and corner.certified and ambient.rank == corner.rank
@@ -406,7 +422,10 @@ def _check_classical_charpoly_match(rng, spec: PropertySpec) -> TrialResult:
     shape = random_shape(spec.policy, rng, ambient=FINITE)
     values = _random_distinct_values(rng, shape.total_dim)
     assignment = [j for j, d in enumerate(shape.dims) for _ in range(d)]
-    a = make_maximal(shape, values, rng, assignment=assignment, tols=spec.tols)
+    try:
+        a = make_maximal(shape, values, rng, assignment=assignment, tols=spec.tols)
+    except IndistinctValuesError:
+        return _EXHAUSTED
     p = char_poly(a, rng, tols=spec.tols)
     product = np.array([1.0 + 0.0j])
     for block in a.blocks:
@@ -508,6 +527,8 @@ def _check_multiplicity_consistency(rng, spec: PropertySpec) -> TrialResult:
 def _check_diagonalization(rng, spec: PropertySpec) -> TrialResult:
     shape = random_shape(spec.policy, rng)
     a = _random_maximal_constructed(shape, rng, spec.tols)
+    if a is None:
+        return _EXHAUSTED
     pairs = diagonalize_maximal(a, rng, tols=spec.tols)
     recon = zero(shape)
     for value, proj in pairs:
@@ -574,10 +595,6 @@ def run_trial(spec: PropertySpec, seed: int, index: int) -> TrialResult:
     rng = trial_rng(seed, spec.name, index)
     try:
         return CHECKERS[spec.name](rng, spec)
-    except IndistinctValuesError:
-        # a generator drew values that ``make_maximal`` cannot separate at
-        # the trial's tau (a coarse clustering tolerance): it gave up
-        return _EXHAUSTED
     except SpecrankError as exc:
         return _verdict(False, FAILURE_RESIDUAL, {},
                         {"error": f"{type(exc).__name__}: {exc}"})

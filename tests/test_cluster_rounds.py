@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import specrank.algebra as algebra
+import specrank.numkernel as numkernel
 from specrank.algebra import AlgebraShape
 from specrank.config import DEFAULT_TOLS
 from specrank.numkernel import ClusteredSpectrum, NonFiniteError, cluster
@@ -154,6 +155,46 @@ def test_chained_clusters_are_remerged():
         rows = [np.concatenate([chain, [chain.mean() + 1j * rng.uniform(0.8, 1.2)]])
                 for _ in range(3)]
         assert_rows_match(rows, [1.0, 1.0, 1.0])
+
+
+def test_shuffled_chains():
+    """A chain whose values are numbered out of order takes several label
+    passes to settle on its lowest index."""
+    rng = make_rng(9)
+    for _ in range(10):
+        n = int(rng.integers(10, 60))
+        rows = []
+        for _ in range(4):
+            chain = np.cumsum(rng.uniform(0.5, 0.99, n)) * np.exp(1j * rng.uniform(0, 6))
+            rows.append(rng.permutation(np.concatenate([chain, chain[::7] + 50.0])))
+        got, _ = assert_rows_match(rows, [1.0] * 4)
+        assert all(points[0][1] == n for points, _ in got)
+
+
+@pytest.mark.parametrize("budget", [1, 2 * 6 * 6, 3 * 6 * 6])
+def test_rounds_split_into_chunks(monkeypatch, budget):
+    """Rows clustered a chunk at a time give what one chunk gives, and the
+    first failing row's error is still the one raised."""
+    monkeypatch.setattr(numkernel, "_PAIR_BUDGET", budget)
+    rng = make_rng(17)
+    rows = random_rows(rng, 7, 6, zeros=3)
+    tols = list(10.0 ** rng.uniform(-9, 0.3, size=7))
+    assert_rows_match(rows, tols)
+    mean = [1.5e308, 1.5e308 * (1 + 1e-12), 1.0, 0, 0, 0]
+    distance = [1.5e308, -1.5e308j, 1.0, 0, 0, 0]
+    for bad in ([1, 5], [5, 1], [2, 3]):
+        rows_bad = rows.copy()
+        rows_bad[bad[0]], rows_bad[bad[1]] = mean, distance
+        _, error = assert_rows_match(rows_bad, [1e300] * 7)
+        assert error
+
+
+def test_long_rows():
+    """Rows of a few hundred values, one chunk each, as in the spectrum of a
+    large element: a near-zero clique and a spread of distinct values."""
+    rng = make_rng(23)
+    rows = random_rows(rng, 3, 400, zeros=150)
+    assert_rows_match(rows, [1e-8, 1e-8, 0.05])
 
 
 def test_empty_and_single_value_rows():
