@@ -187,20 +187,10 @@ def inverse(a: Element, tols: Tolerances = DEFAULT_TOLS) -> Element:
     return inv
 
 
-def _all_eigs(a: Element) -> np.ndarray:
-    return np.concatenate(a.block_eigs())
-
-
-def _spectral_radius(values: np.ndarray) -> float:
-    rho = float(np.max(np.abs(values))) if values.size else 0.0
-    if not math.isfinite(rho):
-        raise NonFiniteError("spectral radius overflowed to a non-finite value")
-    return rho
-
-
 def tau_of(a: Element, tols: Tolerances = DEFAULT_TOLS) -> float:
-    """Distinctness tolerance for ``a`` from its spectral radius estimate."""
-    return tols.tau(_spectral_radius(_all_eigs(a)))
+    """Distinctness tolerance for ``a`` from its spectral radius estimate:
+    the tolerance its cached ``spectrum`` was clustered at."""
+    return spectrum(a, tols).tol
 
 
 def spectrum(a: Element, tols: Tolerances = DEFAULT_TOLS) -> ClusteredSpectrum:
@@ -214,7 +204,8 @@ def spectrum(a: Element, tols: Tolerances = DEFAULT_TOLS) -> ClusteredSpectrum:
     """
     spec = a._spectra.get(tols)
     if spec is None:
-        spec = a._spectra[tols] = _spectrum_of(_all_eigs(a), a.shape, tols)
+        values = np.concatenate(a.block_eigs())
+        spec = a._spectra[tols] = _spectrum_of(values, a.shape, tols)
     return spec
 
 
@@ -238,7 +229,7 @@ def _spectra_of(rows: np.ndarray, shape: AlgebraShape,
     good = len(taus)
     spectra = [_snap_zero(spec, shape) for spec in cluster(rows[:good], taus)]
     if good < len(rows):
-        _spectral_radius(rows[good])  # raises NonFiniteError
+        raise NonFiniteError("spectral radius overflowed to a non-finite value")
     return spectra
 
 

@@ -131,11 +131,6 @@ class ClusteredSpectrum:
         return ClusteredSpectrum(points=pts, tol=float(tol))
 
 
-# a numpy pair distance within this relative band of the tolerance is
-# re-decided with Python's abs: numpy's complex abs can differ from it in the
-# last bit, and the decision must match the Python one exactly
-_TOL_BAND = 1e-12
-
 # rows are clustered in chunks of at most this many value pairs (at least one
 # row each), which bounds the pair arrays at a few MB per row of a few
 # hundred values while a whole round of a typical spectrum is one chunk
@@ -180,33 +175,25 @@ def _cluster_rows(rows: np.ndarray, tols: list) -> list[ClusteredSpectrum]:
 
 def _cluster_chunk(rows: np.ndarray, tols: list) -> list[ClusteredSpectrum]:
     k, n = rows.shape
-    # pairs clearly within tol, and pairs whose numpy distance is too close
-    # to tol, or not finite, to trust its last bit
-    lo = np.array([tol * (1.0 - _TOL_BAND) for tol in tols])[:, None, None]
-    hi = np.array([tol * (1.0 + _TOL_BAND) for tol in tols])[:, None, None]
+    # numpy's float hypot is the C hypot behind Python's complex abs, so each
+    # pair is decided exactly as abs(u - v) <= tol decides it
     with np.errstate(over="ignore", invalid="ignore"):
-        dist = np.abs(rows[:, :, None] - rows[:, None, :])
-        near = dist < lo
-        unsure = near ^ (dist <= hi)
-        if not dist.max() < np.inf:
-            unsure |= ~np.isfinite(dist)
+        diff = rows[:, :, None] - rows[:, None, :]
+        dist = np.hypot(diff.real, diff.imag)
+    near = dist <= np.array(tols)[:, None, None]
+    bad_row = k
+    if not dist.max() < np.inf:
+        # abs raises when a difference is finite but its modulus is not
+        overflowed = (np.isinf(dist) & np.isfinite(diff)).any(axis=(1, 2))
+        if overflowed.any():
+            bad_row = int(overflowed.argmax())
     values = rows.tolist()
-    bad_row, overflow = k, None
-    for r, i, j in zip(*np.nonzero(unsure)) if np.count_nonzero(unsure) else ():
-        if i > j:  # the pair (j, i) was decided
-            continue
-        try:  # |v_i - v_j| beyond the largest float
-            close = abs(values[r][i] - values[r][j]) <= tols[r]
-        except OverflowError as exc:
-            bad_row, overflow = r, exc
-            break
-        near[r, i, j] = near[r, j, i] = close
 
     spectra = []
     for r, labels in enumerate(_components(near)):
         if r == bad_row:
             raise NonFiniteError(
-                f"distance between spectral values: {overflow}") from overflow
+                "distance between spectral values: absolute value too large")
         groups: dict[int, list[complex]] = {}
         for label, v in zip(labels, values[r]):
             groups.setdefault(label, []).append(v)

@@ -45,8 +45,12 @@ class ShapePolicy:
 
 def random_shape(policy: ShapePolicy, rng: np.random.Generator,
                  min_blocks: int = 1, min_total: int = 1,
-                 ambient: str | None = None) -> AlgebraShape:
+                 ambient: str | None = None) -> AlgebraShape | None:
+    """A shape of at least ``min_blocks`` blocks and ``min_total`` total
+    dimension, or None when the policy gives none in 50 draws."""
     amb = ambient or str(rng.choice(list(policy.ambients)))
+    if not policy.shapes and policy.max_blocks < min_blocks:
+        return None
     for _ in range(50):
         if policy.shapes:
             dims = tuple(policy.shapes[int(rng.integers(len(policy.shapes)))])
@@ -55,7 +59,7 @@ def random_shape(policy: ShapePolicy, rng: np.random.Generator,
             dims = tuple(int(rng.integers(1, policy.max_dim + 1)) for _ in range(k))
         if len(dims) >= min_blocks and sum(dims) >= min_total:
             return AlgebraShape(dims=dims, ambient=amb)
-    raise ValueError("shape policy cannot satisfy the block/size constraints")
+    return None
 
 
 @dataclass(frozen=True)
@@ -377,6 +381,8 @@ def _check_compression_rank(rng, spec: PropertySpec) -> TrialResult:
 
 def _maximal_for_block_checks(rng, spec: PropertySpec):
     shape = random_shape(spec.policy, rng, min_blocks=2)
+    if shape is None:
+        return None, None
     if rng.random() < 0.5:
         return _random_maximal_constructed(shape, rng, spec.tols,
                                            spread_blocks=True), "constructed"
@@ -474,7 +480,7 @@ def _check_sylvester(rng, spec: PropertySpec) -> TrialResult:
 
 def _check_charpoly_continuity(rng, spec: PropertySpec) -> TrialResult:
     shape = random_shape(spec.policy, rng, min_total=2)
-    a = _random_non_maximal(shape, rng, spec.tols)
+    a = None if shape is None else _random_non_maximal(shape, rng, spec.tols)
     if a is None:
         return _EXHAUSTED
     lambda0 = complex((2.0 + rng.random()) * np.exp(2j * np.pi * rng.random()))
@@ -647,7 +653,6 @@ class CampaignSettings:
     policy: ShapePolicy = ShapePolicy()
     tols: Tolerances = DEFAULT_TOLS
     trials: tuple[tuple[str, int], ...] = ()
-    properties: tuple[str, ...] = ()
 
     def trials_for(self, name: str) -> int:
         for key, value in self.trials:
@@ -691,9 +696,8 @@ class CampaignReport:
 
 
 def run_campaign(settings: CampaignSettings) -> CampaignReport:
-    names = settings.properties or PROPERTY_NAMES
     reports = []
-    for name in names:
+    for name in PROPERTY_NAMES:
         spec = PropertySpec(name=name, trials=settings.trials_for(name),
                             policy=settings.policy, tols=settings.tols)
         reports.append(run_property(spec, settings.seed))

@@ -207,6 +207,18 @@ class TestCampaign:
         report = json.loads(out.read_text())
         assert report["total_skipped"] > 0
 
+    def test_single_block_shapes_count_skips(self, tmp_path):
+        # no shape of two blocks to draw: the block properties skip their
+        # trials and the campaign reports instead of raising
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps({"shapes": [[3]], "trials": 1}))
+        out = tmp_path / "report.json"
+        assert main(["campaign", "--config", str(config_file),
+                     "--out", str(out)]) in (0, 1)
+        skips = {p["name"]: p["skip_count"]
+                 for p in json.loads(out.read_text())["properties"]}
+        assert skips["block_spectra_disjoint"] == skips["blockwise_maximality"] == 1
+
     def test_invalid_tolerance_is_usage_error(self, tmp_path):
         config_file = tmp_path / "config.json"
         config_file.write_text(json.dumps({"tol_cluster": 0.0, "trials": 1}))

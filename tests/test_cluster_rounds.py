@@ -117,15 +117,15 @@ def test_rows_match_one_row_calls():
 
 
 def test_pairs_at_tolerance_within_ulps():
-    """Pairs whose distance is the tolerance to a few ulps: numpy's complex
-    abs and Python's differ in the last bit on some of them, and the
-    decision must be Python's."""
+    """Pairs whose distance is the tolerance to a few ulps, at magnitudes
+    from 1e-300 to 1e300: numpy's complex abs and Python's differ in the
+    last bit on some of them, and the decision must be Python's."""
     rng = make_rng(11)
     disagree = 0
-    for _ in range(40):
+    for scale in [1.0, 1e-300, 1e-150, 1e150, 1e300] * 8:
         rows, tols = [], []
         for _ in range(6):
-            row = random_rows(rng, 1, 8)[0]
+            row = random_rows(rng, 1, 8)[0] * scale
             d = row[1] - row[0]
             py, np_abs = abs(complex(d)), float(np.abs(d))
             disagree += py != np_abs
@@ -137,7 +137,7 @@ def test_pairs_at_tolerance_within_ulps():
         exact = [abs(complex(r[1] - r[0])) for r in rows]
         assert_rows_match(rows, exact)
         assert_rows_match(rows, [float(np.abs(r[1] - r[0])) for r in rows])
-    assert disagree  # the band is exercised, not only the clear cases
+    assert disagree  # numpy's complex abs would decide some pairs otherwise
 
 
 def test_chained_clusters_are_remerged():
@@ -224,6 +224,9 @@ def test_overflowing_rows_raise_the_same_error(bad, match):
         assert_rows_match(rows, tols)
     with pytest.raises(NonFiniteError, match=match):
         cluster(bad, 1e300)
+    # a difference with an infinite component is a far pair, not an error
+    got, error = assert_rows_match([[1e308, -1e308, 1.0]], [1e300])
+    assert error is None and len(got[0][0]) == 3
 
 
 def test_one_tolerance_per_row():

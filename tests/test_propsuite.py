@@ -7,9 +7,10 @@ from specrank.config import DEFAULT_TOLS, Tolerances
 from specrank.multiplicity import SpectrumDomainError, UnstableMultiplicityError
 from specrank.numkernel import ContourError, ConvergenceError, SpecrankError
 from specrank.propsuite import (DEFAULT_TRIALS, PROPERTY_NAMES, CampaignSettings,
-                                PropertySpec, ShapePolicy,
+                                PropertySpec, ShapePolicy, random_shape,
                                 run_campaign, run_property, run_trial)
 from specrank.rank import IllConditionedError, UncertifiedRankError
+from conftest import make_rng
 
 SMALL_POLICY = ShapePolicy(max_blocks=3, max_dim=4)
 
@@ -168,3 +169,22 @@ def test_coarse_tolerance_skips_inseparable_inputs(name):
     assert report.skip_count > 0
     assert dict(report.counters)["generator_exhausted"] == report.skip_count
     assert report.pass_count + report.fail_count + report.skip_count == 6
+
+
+@pytest.mark.parametrize("name", ["block_spectra_disjoint", "blockwise_maximality",
+                                  "charpoly_continuity"])
+def test_single_block_policy_counts_skips(name):
+    """A policy whose only shape is one 1x1 block has no shape of two blocks
+    or of total dimension two; the properties that need one skip each trial
+    instead of aborting the campaign."""
+    spec = PropertySpec(name=name, trials=3, policy=ShapePolicy(shapes=((1,),)))
+    report = run_property(spec, 5)
+    assert report.skip_count == 3
+    assert dict(report.counters) == {"generator_exhausted": 3}
+
+
+def test_random_shape_gives_none_when_constraints_cannot_be_met():
+    rng = make_rng(0)
+    assert random_shape(ShapePolicy(max_blocks=1), rng, min_blocks=2) is None
+    assert random_shape(ShapePolicy(shapes=((3,), (1, 1))), rng,
+                        min_blocks=2).dims == (1, 1)
