@@ -355,19 +355,20 @@ class CompressedView:
 
 
 def compressed_view(p: ProjectionElement, tols: Tolerances = DEFAULT_TOLS) -> CompressedView:
-    """Build the corner view for ``p`` via column-pivoted QR range bases."""
-    # imported on first use: no other path needs scipy, and loading
-    # scipy.linalg costs more than a whole `specrank check`
-    import scipy.linalg
+    """Build the corner view for ``p`` from SVD range bases.
 
+    The leading ``r`` left singular vectors of an idempotent block span its
+    range: its nonzero singular values are at least 1 and the others sit at
+    rounding level, so the split at the certified rank ``r`` is well
+    conditioned.
+    """
     shape = p.element.shape
     bases, block_map = [], []
     for j, block in enumerate(p.element.blocks):
         r = mat_rank(block, tols.rank_rel)
         if r == 0:
             continue
-        q, _, _ = scipy.linalg.qr(block, pivoting=True)
-        basis = q[:, :r]
+        basis = np.linalg.svd(block)[0][:, :r]
         # basis must span range(p): p acts as the identity on it
         defect = frobenius(block @ basis - basis)
         if defect > 1e-6 * (1.0 + frobenius(block)):

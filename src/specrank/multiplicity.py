@@ -158,7 +158,7 @@ def multiplicities(a: Element, rng: np.random.Generator,
                 f"{len(vote)} samples", histogram=histogram)
         m_riesz = None
         if with_riesz and abs(center) > spec.tol:
-            m_riesz = multiplicity_riesz(a, center, tols=tols)
+            m_riesz = _riesz_count(a, center, gap, tols.contour_nodes, tols)
         records.append(MultiplicityRecord(
             value=center, m_counting=int(winner), m_riesz=m_riesz,
             disk_radius=radius, samples=len(vote), votes=histogram))
@@ -194,12 +194,17 @@ def multiplicity_riesz(a: Element, lam: complex,
     spec, nearest = _spectral_value(a, lam, tols)
     if abs(nearest) <= spec.tol:
         raise SpectrumDomainError("projector route applies to nonzero values only")
-    gap = spectral_gap(a, tols)
-    radius = gap / config.RIESZ_RADIUS_DIV
     nodes = tols.contour_nodes if nodes is None else nodes
+    return _riesz_count(a, nearest, spectral_gap(a, tols), nodes, tols)
 
+
+def _riesz_count(a: Element, value: complex, gap: float, nodes: int,
+                 tols: Tolerances) -> int:
+    """``multiplicity_riesz`` at the nonzero spectral value ``value`` of
+    ``a``, given the spectral gap of ``a``."""
+    radius = gap / config.RIESZ_RADIUS_DIV
     total = 0.0 + 0.0j
-    for p in riesz_blocks(a, nearest, radius, nodes, tols):
+    for p in riesz_blocks(a, value, radius, nodes, tols):
         total += np.trace(p)
     m = round(total.real)
     if abs(total - m) > tols.projection_trace:

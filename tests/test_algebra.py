@@ -162,6 +162,21 @@ class TestCompression:
         view = compressed_view(p)
         assert norm(view.compress(p.element) - view.identity()) <= 1e-10
 
+    @pytest.mark.parametrize("r", [1, 3, 5])
+    def test_oblique_projector_basis(self, r):
+        # p = S diag(1, .., 1, 0, .., 0) S^-1 is idempotent but not normal
+        rng = make_rng(40 + r)
+        s = np.eye(6) + 0.5 * ginibre(rng, 6)
+        block = s @ np.diag([1.0] * r + [0.0] * (6 - r)) @ np.linalg.inv(s)
+        assert np.linalg.norm(block - block.conj().T) > 0.1
+        p = ProjectionElement(Element(AlgebraShape(dims=(6,)), (block,)))
+        view = compressed_view(p)
+        (basis,) = view.bases
+        assert view.shape.dims == (r,)
+        np.testing.assert_allclose(basis.conj().T @ basis, np.eye(r), atol=1e-12)
+        np.testing.assert_allclose(block @ basis, basis, atol=1e-12)
+        assert norm(view.compress(p.element) - view.identity()) <= 1e-12
+
     def test_nonzero_spectrum_matches_ambient(self, rng):
         # projection from contours of a well-separated element
         a = diag_element(M2_M1, [1.0, 3.0], [5.0])

@@ -135,6 +135,20 @@ class TestCheck:
     def test_missing_file(self, tmp_path):
         assert main(["check", str(tmp_path / "absent.json")]) == 2
 
+    @pytest.mark.parametrize("payload", [
+        {"dims": [2], "blocks": [[[1, 2], [3, 4]]]},  # numbers, not pairs
+        [1, 2],
+        "element",
+        None,
+        {"dims": 2, "blocks": []},
+        {"dims": [2], "blocks": 5},
+    ])
+    def test_malformed_element_file_is_usage_error(self, tmp_path, capsys, payload):
+        element_file = tmp_path / "bad.json"
+        element_file.write_text(json.dumps(payload))
+        assert main(["check", str(element_file)]) == 2
+        assert "cannot read element file" in capsys.readouterr().err
+
     def test_contour_node_on_spectrum_exits_numeric(self, tmp_path, capsys):
         # S J_3 S^-1 for a nilpotent Jordan block J_3: roundoff splits the
         # eigenvalue 0 into three points, and a contour node lands exactly on

@@ -11,7 +11,7 @@ from specrank.propsuite import PROPERTY_NAMES, CampaignSettings, run_campaign
 
 GOLDEN_SEED = 20240
 GOLDEN_TRIALS = 8
-GOLDEN_SHA256 = "31516a57d399de90ceb0a0c44dc1a09e2af8a62c8970fe91856f7fc75d1d3f32"
+GOLDEN_SHA256 = "a19654c0fd05167a48bba502febd8ec2aa32462200c7f2d0e8d8e056ab6ee80a"
 
 
 def test_campaign_report_bytes_are_pinned():

@@ -1,6 +1,6 @@
-"""scipy is loaded only when a corner view is built: importing specrank and
-running ``check``, ``gen``, ``demo`` or a non-compression property leave
-``scipy.linalg`` out of ``sys.modules``."""
+"""specrank runs on numpy alone: importing it, the ``check``, ``gen`` and
+``demo`` commands, every campaign property and a corner view built directly
+leave ``scipy`` out of ``sys.modules``."""
 
 import json
 import os
@@ -13,30 +13,34 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 _SCRIPT = """
 import contextlib, io, os, sys
 
+import numpy as np
+
 import specrank, specrank.cli
+from specrank import AlgebraShape, Element, ProjectionElement, compressed_view
 from specrank import cli
-from specrank.propsuite import PropertySpec, run_property
+from specrank.propsuite import PROPERTY_NAMES, PropertySpec, run_property
 
 element, workdir = sys.argv[1], sys.argv[2]
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["check", element, "--seed", "3"]) == 0
     assert cli.main(["gen", "--dims", "3,2", "--ranks", "2,1",
                      "--out", os.path.join(workdir, "gen.json")]) == 0
-    assert cli.main(["demo", "m3_example"]) == 0
-report = run_property(PropertySpec(name="cayley_hamilton", trials=2), 11)
-assert report.pass_count == 2
-print("after check/gen/demo/cayley_hamilton:", "scipy.linalg" in sys.modules)
+    for name in ("m3_example", "zero_example", "c3_naive_det", "ch_walkthrough"):
+        assert cli.main(["demo", name]) == 0
+print("after check/gen/demo:", "scipy" in sys.modules)
 
-import numpy as np
-from specrank import AlgebraShape, Element, ProjectionElement, compressed_view
+for name in PROPERTY_NAMES:
+    report = run_property(PropertySpec(name=name, trials=2), 11)
+    assert report.fail_count == 0, name
+print("after every property:", "scipy" in sys.modules)
 
 p = Element(AlgebraShape(dims=(2,)), (np.diag([1.0, 0.0]),))
 assert compressed_view(ProjectionElement(p)).shape.dims == (1,)
-print("after compressed_view:", "scipy.linalg" in sys.modules)
+print("after compressed_view:", "scipy" in sys.modules)
 """
 
 
-def test_scipy_is_imported_only_by_compressed_view(tmp_path):
+def test_no_specrank_path_imports_scipy(tmp_path):
     element = tmp_path / "a.json"
     element.write_text(json.dumps({
         "dims": [2, 1], "ambient": "finite",
@@ -49,6 +53,7 @@ def test_scipy_is_imported_only_by_compressed_view(tmp_path):
         env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == [
-        "after check/gen/demo/cayley_hamilton: False",
-        "after compressed_view: True",
+        "after check/gen/demo: False",
+        "after every property: False",
+        "after compressed_view: False",
     ]

@@ -46,10 +46,20 @@ def source_sha256(checkout: Path) -> str:
     return digest.hexdigest()
 
 
-def commit_of(checkout: Path) -> str | None:
-    done = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"],
-                          capture_output=True, text=True)
-    return done.stdout.strip() if done.returncode == 0 else None
+def git_state(checkout: Path) -> dict:
+    """The checkout's ``HEAD`` commit and whether its working tree differs
+    from it. A dirty tree is not that commit, so its commit is recorded as
+    None; outside a git repository both fields are None."""
+    def git(*args):
+        done = subprocess.run(["git", "-C", str(checkout), *args],
+                              capture_output=True, text=True)
+        return done.stdout if done.returncode == 0 else None
+
+    head, status = git("rev-parse", "HEAD"), git("status", "--porcelain")
+    if head is None or status is None:
+        return {"commit": None, "dirty": None}
+    dirty = bool(status.strip())
+    return {"commit": None if dirty else head.strip(), "dirty": dirty}
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float,
@@ -139,7 +149,7 @@ def main(argv=None) -> int:
     data = (json.loads(args.out.read_text()) if args.out.exists()
             else {"command": "python3 specbench/run.py", "checkouts": {}, "runs": []})
     for label, path in checkouts.items():
-        data["checkouts"][label] = {"commit": commit_of(path),
+        data["checkouts"][label] = {**git_state(path),
                                     "source_sha256": source_sha256(path)}
 
     def record(label, workload, trace, pair=None):
