@@ -10,7 +10,7 @@ ambient no element is invertible and 0 always belongs to the spectrum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -165,9 +165,9 @@ def norm(a: Element) -> float:
     return value
 
 
-def allclose(a: Element, b: Element, tol: float = 1e-12) -> bool:
+def allclose(a: Element, b: Element) -> bool:
     a._check_same(b)
-    return norm(a - b) <= tol * (1.0 + norm(a) + norm(b))
+    return norm(a - b) <= 1e-12 * (1.0 + norm(a) + norm(b))
 
 
 def inverse(a: Element, tols: Tolerances = DEFAULT_TOLS) -> Element:
@@ -283,15 +283,15 @@ def is_singular(a: Element, tols: Tolerances = DEFAULT_TOLS) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class ProjectionElement:
-    """An idempotent element; Hermitian-ness is not required."""
+    """An idempotent element, to ``DEFAULT_TOLS.projection_idem``;
+    Hermitian-ness is not required."""
 
     element: Element
-    idem_tol: float = field(default=DEFAULT_TOLS.projection_idem)
 
     def __post_init__(self):
         p = self.element
         defect = norm(p * p - p)
-        if defect > self.idem_tol * (1.0 + norm(p)):
+        if defect > DEFAULT_TOLS.projection_idem * (1.0 + norm(p)):
             raise ValueError(f"not a projection: ||p^2 - p|| = {defect:.3e}")
 
     def __add__(self, other: "ProjectionElement") -> "ProjectionElement":
@@ -299,23 +299,18 @@ class ProjectionElement:
         return ProjectionElement(self.element + other.element)
 
 
-def riesz_blocks(a: Element, center: complex, radius: float, nodes: int,
+def riesz_blocks(a: Element, center: complex, radius: float,
                  tols: Tolerances = DEFAULT_TOLS) -> tuple[np.ndarray, ...]:
     """Per-block spectral projectors of ``a`` for the disk around ``center``;
     each contour's clearance check uses the block's cached eigenvalues."""
-    return tuple(
-        riesz_projection(b, center, radius, nodes,
-                         idem_tol=tols.projection_idem,
-                         trace_tol=tols.projection_trace,
-                         clearance=tols.contour_clearance,
-                         values=values)
-        for b, values in zip(a.blocks, a.block_eigs()))
+    return tuple(riesz_projection(b, center, radius, tols, values)
+                 for b, values in zip(a.blocks, a.block_eigs()))
 
 
-def riesz_element(a: Element, center: complex, radius: float, nodes: int = 64,
+def riesz_element(a: Element, center: complex, radius: float,
                   tols: Tolerances = DEFAULT_TOLS) -> ProjectionElement:
     """Blockwise spectral projector of ``a`` for the disk around ``center``."""
-    blocks = riesz_blocks(a, center, radius, nodes, tols)
+    blocks = riesz_blocks(a, center, radius, tols)
     return ProjectionElement(Element(a.shape, blocks))
 
 

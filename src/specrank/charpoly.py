@@ -21,7 +21,7 @@ from .algebra import (Element, ProjectionElement, identity, is_singular, norm,
                       nonzero_spectrum, random_element, riesz_element, tau_of,
                       zero)
 from .config import DEFAULT_TOLS, Tolerances
-from .jsonio import complex_to_pair
+from .jsonio import complex_to_pair, pair_to_complex
 from .multiplicity import (MultiplicityRecord, UnstableMultiplicityError,
                            multiplicities, spectral_gap)
 from .numkernel import NonFiniteError, SpecrankError
@@ -64,9 +64,6 @@ class CharPoly:
     def degree(self) -> int:
         return sum(m for _, m in self.factors)
 
-    def roots(self) -> list[complex]:
-        return [r for r, _ in self.factors]
-
     def coefficients(self) -> np.ndarray:
         """Descending-power coefficient expansion (for display only)."""
         repeated = [r for r, m in self.factors for _ in range(m)]
@@ -81,7 +78,6 @@ class CharPoly:
 
     @staticmethod
     def from_json(data: dict) -> "CharPoly":
-        from .jsonio import pair_to_complex
         factors = tuple((pair_to_complex(f["root"]), int(f["mult"]))
                         for f in data["factors"])
         return CharPoly(factors=factors, source_rank=int(data["source_rank"]))
@@ -228,7 +224,7 @@ def diagonalize_maximal(a: Element, rng: np.random.Generator,
     radius = gap / config.RIESZ_RADIUS_DIV
     pairs = []
     for v in values:
-        proj = riesz_element(a, v, radius, nodes=tols.contour_nodes, tols=tols)
+        proj = riesz_element(a, v, radius, tols)
         r = rank_oracle(proj.element, tols)
         if r != 1:
             raise DiagonalizationError(

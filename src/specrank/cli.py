@@ -11,7 +11,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -88,7 +88,7 @@ class Config:
             overrides["cluster_rel"] = self.tol_cluster
         if self.tol_residual is not None:
             overrides["residual"] = self.tol_residual
-        return DEFAULT_TOLS.with_overrides(**overrides) if overrides else DEFAULT_TOLS
+        return replace(DEFAULT_TOLS, **overrides) if overrides else DEFAULT_TOLS
 
     def settings(self) -> CampaignSettings:
         ambients = {"finite": (FINITE,), "infinite": (INFINITE_SOCLE,),
@@ -220,10 +220,9 @@ def cmd_gen(args) -> int:
 def _analyze(element: Element, rng: np.random.Generator, tols: Tolerances) -> dict:
     cert = spectral_rank(element, rng=rng, tols=tols)
     spec = spectrum(element, tols)
+    # raises UncertifiedRankError unless the rank is certified
     records = multiplicities(element, rng, cert, with_riesz=True, tols=tols)
-    poly = None
-    if cert.certified:
-        poly = char_poly_from_records(records, cert.rank)
+    poly = char_poly_from_records(records, cert.rank)
     residual = cayley_hamilton_residual(element, rng, cert, poly, tols)
     tr = weighted_sum((r.value, r.m_counting) for r in records)
     det1 = det_plus_one(element, rng, cert, poly, tols)
@@ -231,8 +230,8 @@ def _analyze(element: Element, rng: np.random.Generator, tols: Tolerances) -> di
         "rank": cert.to_json(),
         "spectrum": spec.to_json(),
         "multiplicities": [r.to_json() for r in records],
-        "char_poly": poly.to_json() if poly else None,
-        "char_poly_str": _poly_str(poly.factors) if poly else None,
+        "char_poly": poly.to_json(),
+        "char_poly_str": _poly_str(poly.factors),
         "cayley_hamilton_residual": residual,
         "trace": complex_to_pair(tr),
         "det_plus_one": complex_to_pair(det1),

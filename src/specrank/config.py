@@ -7,7 +7,7 @@ cutoffs, and contour acceptance are controlled by one knob set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -40,9 +40,6 @@ class Tolerances:
     def tau(self, rho: float) -> float:
         """Distinctness tolerance for spectra with spectral radius ``rho``."""
         return max(self.cluster_floor, self.cluster_rel * rho)
-
-    def with_overrides(self, **kwargs) -> "Tolerances":
-        return replace(self, **kwargs)
 
 
 DEFAULT_TOLS = Tolerances()

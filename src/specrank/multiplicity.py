@@ -158,7 +158,7 @@ def multiplicities(a: Element, rng: np.random.Generator,
                 f"{len(vote)} samples", histogram=histogram)
         m_riesz = None
         if with_riesz and abs(center) > spec.tol:
-            m_riesz = _riesz_count(a, center, gap, tols.contour_nodes, tols)
+            m_riesz = _riesz_count(a, center, gap, tols)
         records.append(MultiplicityRecord(
             value=center, m_counting=int(winner), m_riesz=m_riesz,
             disk_radius=radius, samples=len(vote), votes=histogram))
@@ -187,24 +187,22 @@ def multiplicity(a: Element, lam: complex, rng: np.random.Generator,
 
 
 def multiplicity_riesz(a: Element, lam: complex,
-                       nodes: int | None = None,
                        tols: Tolerances = DEFAULT_TOLS) -> int:
     """Rank of the spectral projector around nonzero ``lam``: summed traces
     of blockwise contour integrals with radius half the spectral gap."""
     spec, nearest = _spectral_value(a, lam, tols)
     if abs(nearest) <= spec.tol:
         raise SpectrumDomainError("projector route applies to nonzero values only")
-    nodes = tols.contour_nodes if nodes is None else nodes
-    return _riesz_count(a, nearest, spectral_gap(a, tols), nodes, tols)
+    return _riesz_count(a, nearest, spectral_gap(a, tols), tols)
 
 
-def _riesz_count(a: Element, value: complex, gap: float, nodes: int,
+def _riesz_count(a: Element, value: complex, gap: float,
                  tols: Tolerances) -> int:
     """``multiplicity_riesz`` at the nonzero spectral value ``value`` of
     ``a``, given the spectral gap of ``a``."""
     radius = gap / config.RIESZ_RADIUS_DIV
     total = 0.0 + 0.0j
-    for p in riesz_blocks(a, value, radius, nodes, tols):
+    for p in riesz_blocks(a, value, radius, tols):
         total += np.trace(p)
     m = round(total.real)
     if abs(total - m) > tols.projection_trace:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DEFAULT_TOLS, Tolerances
 from .jsonio import complex_to_pair, pair_to_complex
 
 
@@ -273,21 +274,24 @@ def classical_charpoly(m) -> np.ndarray:
     return ((-1.0) ** n) * np.poly(values)
 
 
-def riesz_projection(m, center: complex, radius: float, nodes: int = 64,
-                     idem_tol: float = 1e-8, trace_tol: float = 1e-6,
-                     clearance: float = 0.1, values=None) -> np.ndarray:
+def riesz_projection(m, center: complex, radius: float,
+                     tols: Tolerances = DEFAULT_TOLS, values=None) -> np.ndarray:
     """Spectral projector ``(2 pi i)^-1 \\oint (zeta I - m)^-1 d zeta``.
 
     The contour is the circle ``|zeta - center| = radius`` discretized by the
-    trapezoidal rule, which converges exponentially for the analytic
-    resolvent. The resolvents at all nodes are independent, so they are
-    solved as one stacked system. The result must pass an idempotency check
-    and have trace within ``trace_tol`` of an integer (the enclosed algebraic
+    trapezoidal rule at ``tols.contour_nodes`` nodes, which converges
+    exponentially for the analytic resolvent. The resolvents at all nodes are
+    independent, so they are solved as one stacked system. A contour with an
+    eigenvalue within ``tols.contour_clearance * radius`` of the circle is
+    rejected before solving. The result must satisfy ``||p^2 - p|| <=
+    tols.projection_idem * (1 + ||p||)`` and have trace within
+    ``tols.projection_trace`` of an integer (the enclosed algebraic
     multiplicity); otherwise the contour is rejected as too close to the
     spectrum. ``values`` are the eigenvalues of ``m`` for the clearance
     check when the caller already has them; they are computed otherwise.
     """
     a = as_matrix(m)
+    nodes, clearance = tols.contour_nodes, tols.contour_clearance
     if radius <= 0:
         raise ValueError("contour radius must be positive")
     if nodes < 16:
@@ -322,12 +326,12 @@ def riesz_projection(m, center: complex, radius: float, nodes: int = 64,
         raise ContourError("contour projector overflowed to a non-finite value")
 
     defect = frobenius(p @ p - p)
-    if defect > idem_tol * (1.0 + frobenius(p)):
+    if defect > tols.projection_idem * (1.0 + frobenius(p)):
         raise ContourError(
             f"contour too close to spectrum: ||p^2 - p|| = {defect:.3e}",
             defect=defect)
     tr = complex(np.trace(p))
-    if abs(tr - round(tr.real)) > trace_tol:
+    if abs(tr - round(tr.real)) > tols.projection_trace:
         raise ContourError(
             f"projector trace {tr} is not near an integer", defect=defect)
     return p

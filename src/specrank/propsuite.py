@@ -9,6 +9,7 @@ replay any failure bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -25,7 +26,8 @@ from .config import DEFAULT_TOLS, Tolerances
 from .jsonio import dumps_canonical
 from .multiplicity import multiplicities, multiplicity_oracle
 from .numkernel import SpecrankError, classical_charpoly, hausdorff, mat_rank
-from .rank import IndistinctValuesError, make_maximal, spectral_rank
+from .rank import (IndistinctValuesError, _well_conditioned_similarity,
+                   make_maximal, spectral_rank)
 
 
 @dataclass(frozen=True)
@@ -128,19 +130,20 @@ MAX_FAILURE_RECORDS = 25
 
 @dataclass(frozen=True)
 class PropertyReport:
-    """Aggregated outcome of one property campaign."""
+    """Aggregated outcome of one property campaign; the defaults are the
+    report over no trials, which ``merge`` leaves unchanged."""
 
     name: str
     seed: int
-    trials: int
-    pass_count: int
-    fail_count: int
-    skip_count: int
-    worst_residual: float
-    histogram: tuple[tuple[float, int], ...]
-    failures: tuple[dict, ...]
-    counters: tuple[tuple[str, int], ...]
-    notes: tuple[str, ...]
+    trials: int = 0
+    pass_count: int = 0
+    fail_count: int = 0
+    skip_count: int = 0
+    worst_residual: float = 0.0
+    histogram: tuple[tuple[float, int], ...] = ()
+    failures: tuple[dict, ...] = ()
+    counters: tuple[tuple[str, int], ...] = ()
+    notes: tuple[str, ...] = ()
     failures_truncated: bool = False
 
     def merge(self, other: "PropertyReport") -> "PropertyReport":
@@ -188,28 +191,27 @@ class PropertyReport:
 # ---------------------------------------------------------------------------
 # trial input generators
 
-def _random_distinct_values(rng: np.random.Generator, count: int,
-                            lo: float = 0.5, hi: float = 2.0,
-                            separation: float = 0.12) -> list[complex]:
-    """Nonzero complex values in an annulus, pairwise separated."""
+def _random_distinct_values(rng: np.random.Generator, count: int) -> list[complex]:
+    """Nonzero complex values in the annulus ``0.5 <= |z| < 2``, pairwise
+    more than 0.12 apart."""
     out: list[complex] = []
     while len(out) < count:
-        r = lo + (hi - lo) * rng.random()
+        r = 0.5 + (2.0 - 0.5) * rng.random()
         z = r * np.exp(2j * np.pi * rng.random())
-        if all(abs(z - w) > separation for w in out):
+        if all(abs(z - w) > 0.12 for w in out):
             out.append(complex(z))
     return out
 
 
 def _random_maximal_constructed(shape: AlgebraShape, rng: np.random.Generator,
-                                tols: Tolerances, spread_blocks: bool = False,
-                                max_values: int = 4) -> Element | None:
-    """A rank-assuming element built by ``make_maximal`` from random values,
-    or None when the values are not separable at the trial's tau (a coarse
-    clustering tolerance)."""
+                                tols: Tolerances,
+                                spread_blocks: bool = False) -> Element | None:
+    """A rank-assuming element built by ``make_maximal`` from up to four
+    random values, or None when the values are not separable at the trial's
+    tau (a coarse clustering tolerance)."""
     total = shape.total_dim
     k = len(shape.dims)
-    n_values = int(rng.integers(1, min(total, max_values) + 1))
+    n_values = int(rng.integers(1, min(total, 4) + 1))
     if spread_blocks and k >= 2:
         n_values = max(n_values, 2)
     values = _random_distinct_values(rng, n_values)
@@ -237,8 +239,10 @@ def _random_ranks(shape: AlgebraShape, rng: np.random.Generator) -> list[int]:
 
 
 def _random_maximal_filtered(shape: AlgebraShape, rng: np.random.Generator,
-                             tols: Tolerances, tries: int = 8) -> Element | None:
-    for _ in range(tries):
+                             tols: Tolerances) -> Element | None:
+    """A random socle element that assumes its rank at the identity, or None
+    when 8 draws give none."""
+    for _ in range(8):
         ranks = _random_ranks(shape, rng)
         if sum(ranks) == 0:
             ranks[int(rng.integers(len(ranks)))] = 1
@@ -250,15 +254,13 @@ def _random_maximal_filtered(shape: AlgebraShape, rng: np.random.Generator,
 
 
 def _random_non_maximal(shape: AlgebraShape, rng: np.random.Generator,
-                        tols: Tolerances, tries: int = 10) -> Element | None:
+                        tols: Tolerances) -> Element | None:
     """Diagonalizable element that does not assume its rank at the identity:
     one spectral value planted with total algebraic multiplicity two, either
-    inside a block or across two blocks."""
-    from .rank import _well_conditioned_similarity
-
+    inside a block or across two blocks; None when 10 draws give none."""
     dims = shape.dims
     k = len(dims)
-    for _ in range(tries):
+    for _ in range(10):
         values = _random_distinct_values(rng, int(rng.integers(1, 4)))
         dup = values[0]
         blocks = []
@@ -606,45 +608,35 @@ def run_trial(spec: PropertySpec, seed: int, index: int) -> TrialResult:
                         {"error": f"{type(exc).__name__}: {exc}"})
 
 
+def _trial_report(spec: PropertySpec, seed: int, index: int) -> PropertyReport:
+    """The report of trial ``index`` alone: a skipped trial adds no residual."""
+    result = run_trial(spec, seed, index)
+    counters = tuple(sorted(result.counters.items()))
+    notes = (result.note,) if result.note else ()
+    if result.skipped:
+        return PropertyReport(name=spec.name, seed=seed, trials=1, skip_count=1,
+                              counters=counters, notes=notes)
+    residual = _clamp(result.residual)
+    failures = ()
+    if not result.passed and result.failure is not None:
+        failures = ({**_sanitize(result.failure), "trial": index},)
+    return PropertyReport(
+        name=spec.name, seed=seed, trials=1, pass_count=int(result.passed),
+        fail_count=int(not result.passed), worst_residual=residual,
+        histogram=((_bin_low(residual), 1),), failures=failures,
+        counters=counters, notes=notes)
+
+
 def run_property(spec: PropertySpec, seed: int,
                  start: int = 0, stop: int | None = None) -> PropertyReport:
-    """Run trials ``start..stop`` of one property; reports over disjoint
-    ranges merge to the full-range report."""
+    """Run trials ``start..stop`` of one property: the ``merge`` of their
+    one-trial reports, so reports over disjoint ranges merge to the
+    full-range report."""
     stop = spec.trials if stop is None else stop
-    passes = fails = skips = 0
-    worst = 0.0
-    hist: dict[float, int] = {}
-    counters: dict[str, int] = {}
-    failures: list[dict] = []
-    notes: set[str] = set()
-    for index in range(start, stop):
-        result = run_trial(spec, seed, index)
-        for key, val in result.counters.items():
-            counters[key] = counters.get(key, 0) + val
-        if result.note:
-            notes.add(result.note)
-        if result.skipped:
-            skips += 1
-            continue
-        residual = _clamp(result.residual)
-        worst = max(worst, residual)
-        hist[_bin_low(residual)] = hist.get(_bin_low(residual), 0) + 1
-        if result.passed:
-            passes += 1
-        else:
-            fails += 1
-            if result.failure is not None:
-                record = _sanitize(dict(result.failure))
-                record["trial"] = index
-                failures.append(record)
-    truncated = len(failures) > MAX_FAILURE_RECORDS
-    return PropertyReport(
-        name=spec.name, seed=seed, trials=stop - start,
-        pass_count=passes, fail_count=fails, skip_count=skips,
-        worst_residual=worst, histogram=tuple(sorted(hist.items())),
-        failures=tuple(failures[:MAX_FAILURE_RECORDS]),
-        counters=tuple(sorted(counters.items())),
-        notes=tuple(sorted(notes)), failures_truncated=truncated)
+    return functools.reduce(
+        PropertyReport.merge,
+        (_trial_report(spec, seed, index) for index in range(start, stop)),
+        PropertyReport(name=spec.name, seed=seed))
 
 
 @dataclass(frozen=True)

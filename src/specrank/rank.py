@@ -93,25 +93,22 @@ def rank_oracle(a: Element, tols: Tolerances = DEFAULT_TOLS) -> int:
     return sum(mat_rank(b, tols.rank_rel) for b in a.blocks)
 
 
-def spectral_rank(a: Element, samples: int = config.RANK_SAMPLES,
-                  rng: np.random.Generator | None = None,
-                  escalate_to: int = config.RANK_SAMPLES_ESCALATED,
+def spectral_rank(a: Element, rng: np.random.Generator | None = None,
                   tols: Tolerances = DEFAULT_TOLS) -> RankCertificate:
     """Certify the rank of ``a`` by sampling Gaussian witnesses.
 
-    Draws ``samples`` witnesses, keeping the one maximizing the count of
-    distinct nonzero spectral values of ``x*a``. If the best count falls
-    short of the classical-rank oracle, sampling escalates to ``escalate_to``
-    witnesses before the certificate is flagged uncertified. A witness whose
-    eigenvalue iteration fails is skipped and replaced by the next draw.
+    Draws ``config.RANK_SAMPLES`` witnesses, keeping the one maximizing the
+    count of distinct nonzero spectral values of ``x*a``. If the best count
+    falls short of the classical-rank oracle, sampling escalates to
+    ``config.RANK_SAMPLES_ESCALATED`` witnesses before the certificate is
+    flagged uncertified. A witness whose eigenvalue iteration fails is
+    skipped and replaced by the next draw.
 
-    The first ``samples`` draws always happen, so they are drawn as one
+    The first ``RANK_SAMPLES`` draws always happen, so they are drawn as one
     round (``random_block_stacks``) and decomposed together
     (``witness_spectra``); each escalation draw can end the loop, so it is a
     round of its own. Only the best witness becomes an ``Element``.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
     if rng is None:
         raise ValueError("an explicit random generator is required")
     oracle = rank_oracle(a, tols)
@@ -119,7 +116,8 @@ def spectral_rank(a: Element, samples: int = config.RANK_SAMPLES,
     best = -1
     best_witness = best_spec = None
     drawn = failures = 0
-    budget = max(samples, escalate_to)
+    samples = config.RANK_SAMPLES
+    budget = max(samples, config.RANK_SAMPLES_ESCALATED)
     while drawn < samples or (best < oracle and drawn < budget):
         stacks = random_block_stacks(a.shape, rng, max(samples - drawn, 1))
         for i, spec in enumerate(_spectra_or_errors(a, stacks, tols)):
@@ -157,15 +155,15 @@ def is_maximal(a: Element, rng: np.random.Generator | None = None,
     return assumes_rank_at(a, identity(a.shape), cert, tols)
 
 
-def _well_conditioned_similarity(rng: np.random.Generator, n: int,
-                                 cond_cap: float = config.SIMILARITY_COND_CAP) -> np.ndarray:
-    """First draw ``1 + G`` with condition number at most ``cond_cap``."""
+def _well_conditioned_similarity(rng: np.random.Generator, n: int) -> np.ndarray:
+    """First draw ``1 + G`` with condition number at most
+    ``config.SIMILARITY_COND_CAP``."""
     for _ in range(config.CONDITION_RETRIES):
         s = np.eye(n, dtype=np.complex128) + ginibre(rng, n)
-        if np.linalg.cond(s) <= cond_cap:
+        if np.linalg.cond(s) <= config.SIMILARITY_COND_CAP:
             return s
     raise IllConditionedError(
-        f"no similarity with condition number <= {cond_cap:g} "
+        f"no similarity with condition number <= {config.SIMILARITY_COND_CAP:g} "
         f"in {config.CONDITION_RETRIES} draws")
 
 

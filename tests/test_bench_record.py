@@ -1,7 +1,8 @@
 """``tools/bench_record.py`` labels a checkout with its commit only when the
-working tree is that commit."""
+working tree is that commit, and runs each source's default campaign once."""
 
 import importlib.util
+import json
 import shutil
 import subprocess
 from pathlib import Path
@@ -46,3 +47,40 @@ def test_git_state_of_clean_dirty_and_plain_directories(tmp_path):
                     str(tmp_path / "head.tar")], check=True)
     shutil.unpack_archive(tmp_path / "head.tar", plain)
     assert git_state(plain) == {"commit": None, "dirty": None}
+
+
+def test_default_campaign_runs_once_per_source(tmp_path, monkeypatch):
+    module = _load()
+    runs = []
+
+    def stub_campaign(checkout):
+        runs.append(checkout)
+        return {"report_sha256": f"run {len(runs)}"}
+
+    def no_benchmark(*args):
+        raise AssertionError("no benchmark run was asked for")
+
+    monkeypatch.setattr(module, "default_campaign", stub_campaign)
+    monkeypatch.setattr(module, "run_once", no_benchmark)
+    same, copy, other = (tmp_path / name for name in ("same", "copy", "other"))
+    for checkout, text in ((same, "x = 1\n"), (copy, "x = 1\n"), (other, "x = 2\n")):
+        (checkout / "src").mkdir(parents=True)
+        (checkout / "src" / "m.py").write_text(text)
+    out = tmp_path / "bench.json"
+    argv = ["--out", str(out), "--workload", "check", "--seed", "1",
+            "--pairs", "0", "--traced", "0"]
+
+    module.main(argv + ["--checkout", f"a={same}", "--checkout", f"b={copy}"])
+    data = json.loads(out.read_text())
+    digest = data["checkouts"]["a"]["source_sha256"]
+    assert data["checkouts"]["b"]["source_sha256"] == digest
+    assert runs == [same]
+    assert data["campaigns"] == {digest: {"report_sha256": "run 1"}}
+
+    # a source the file already holds is skipped; a new one is run
+    module.main(argv + ["--checkout", f"b={copy}", "--checkout", f"c={other}"])
+    data = json.loads(out.read_text())
+    assert runs == [same, other]
+    assert data["campaigns"] == {
+        digest: {"report_sha256": "run 1"},
+        data["checkouts"]["c"]["source_sha256"]: {"report_sha256": "run 2"}}

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specrank.config import DEFAULT_TOLS
 from specrank.numkernel import (ClusteredSpectrum, ContourError,
                                 ConvergenceError, as_matrix, classical_charpoly, cluster, eig, frobenius,
                                 hausdorff, mat_det, mat_rank, riesz_projection)
@@ -259,8 +262,10 @@ class TestRieszProjection:
         m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         rho = float(np.max(np.abs(eig(m))))
         kwargs = dict(center=0.0, radius=2.0 * rho + 2.0)
-        p64 = riesz_projection(m, nodes=64, **kwargs)
-        p128 = riesz_projection(m, nodes=128, **kwargs)
+        p64 = riesz_projection(m, tols=replace(DEFAULT_TOLS, contour_nodes=64),
+                               **kwargs)
+        p128 = riesz_projection(m, tols=replace(DEFAULT_TOLS, contour_nodes=128),
+                                **kwargs)
         assert frobenius(p64 - p128) <= 1e-10
 
     def test_rejects_contour_through_spectrum(self):
@@ -269,7 +274,8 @@ class TestRieszProjection:
 
     def test_rejects_too_few_nodes(self):
         with pytest.raises(ValueError):
-            riesz_projection(np.eye(2), center=1.0, radius=0.5, nodes=8)
+            riesz_projection(np.eye(2), center=1.0, radius=0.5,
+                             tols=replace(DEFAULT_TOLS, contour_nodes=8))
 
 
 def test_hausdorff_basics():

@@ -1,9 +1,13 @@
+import hashlib
+from dataclasses import replace
+
 import pytest
 
 import specrank.propsuite as propsuite
 from specrank.algebra import ViewError
 from specrank.charpoly import DiagonalizationError
 from specrank.config import DEFAULT_TOLS, Tolerances
+from specrank.jsonio import dumps_canonical
 from specrank.multiplicity import SpectrumDomainError, UnstableMultiplicityError
 from specrank.numkernel import ContourError, ConvergenceError, SpecrankError
 from specrank.propsuite import (DEFAULT_TRIALS, PROPERTY_NAMES, CampaignSettings,
@@ -91,7 +95,7 @@ def test_merge_rejects_mismatched_reports():
 def test_forced_failures_record_and_replay():
     # an impossible residual tolerance makes annihilation checks fail; the
     # recorded trial coordinates replay to the identical measured residual
-    tight = DEFAULT_TOLS.with_overrides(residual=1e-300)
+    tight = replace(DEFAULT_TOLS, residual=1e-300)
     spec = PropertySpec(name="cayley_hamilton", trials=10,
                         policy=SMALL_POLICY, tols=tight)
     report = run_property(spec, seed=2718)
@@ -100,6 +104,23 @@ def test_forced_failures_record_and_replay():
     again = run_trial(spec, seed=2718, index=failure["trial"])
     assert not again.passed
     assert again.failure["measured"]["residual"] == failure["measured"]["residual"]
+
+
+def test_failure_records_truncate_to_lowest_trials():
+    spec = PropertySpec(name="cayley_hamilton", trials=40,
+                        tols=replace(DEFAULT_TOLS, residual=1e-300))
+    report = run_property(spec, seed=2718)
+    failing = [i for i in range(40) if not run_trial(spec, 2718, i).passed]
+    assert report.fail_count == len(failing) == 33
+    assert len(report.failures) == propsuite.MAX_FAILURE_RECORDS == 25
+    assert [f["trial"] for f in report.failures] == failing[:25]
+    assert report.failures_truncated
+    text = dumps_canonical(report.to_json())
+    split = run_property(spec, 2718, 0, 17).merge(run_property(spec, 2718, 17, 40))
+    assert dumps_canonical(split.to_json()) == text
+    # pinned: any change to the fold or its truncation moves these bytes
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "7d6ac8685efb27b9c80eb489dde28ee7e2398e5d8e760f16e0a36dc81abf87c0")
 
 
 def test_histogram_counts_match_decided_trials():

@@ -153,10 +153,11 @@ class TestWellConditionedSimilarity:
         first = np.eye(4, dtype=np.complex128) + ginibre(make_rng(8), 4)
         assert s.tobytes() == first.tobytes()
 
-    def test_draws_are_bounded(self):
+    def test_draws_are_bounded(self, monkeypatch):
         rng = make_rng(9)
+        monkeypatch.setattr(config, "SIMILARITY_COND_CAP", 1.0)
         with pytest.raises(IllConditionedError, match="in 20 draws"):
-            _well_conditioned_similarity(rng, 3, cond_cap=1.0)
+            _well_conditioned_similarity(rng, 3)
         probe = make_rng(9)
         for _ in range(config.CONDITION_RETRIES):
             ginibre(probe, 3)

@@ -13,6 +13,11 @@ neither side. Each run's record holds the final JSON line the benchmark
 prints, its environment record and, for the campaign workloads, the campaign
 report SHA-256 and whether the per-trial reports merged to the same bytes.
 
+Each checkout's default campaign (``specrank campaign --seed 20240``, BLAS on
+one thread) is run once per ``source_sha256``: the SHA-256 of its report and
+each property's wall time go under ``campaigns``, keyed by that digest. A
+digest the ``--out`` file already holds is not run again.
+
 An existing ``--out`` file is extended, not replaced, so the workloads can
 be recorded one call at a time. The summary is recomputed from all runs:
 per workload, end-to-end metric and checkout, the median and quartiles of
@@ -25,6 +30,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import re
 import statistics
 import subprocess
@@ -34,6 +40,29 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 REPORT_LINE = re.compile(r"campaign report: trials=(\d+) sha256=([0-9a-f]{64}) "
                          r".*whole range: (True|False)")
+BLAS_ONE_THREAD = {var: "1" for var in
+                   ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+# ``specrank campaign --seed 20240 --out FILE`` in-process from ``src/``, with
+# ``run_property`` timed per property; prints the file's SHA-256 and the times
+CAMPAIGN_PROBE = """
+import hashlib, json, os, sys, tempfile, time
+sys.path.insert(0, "src")
+from specrank import cli, propsuite
+seconds, run_property = {}, propsuite.run_property
+def timed(spec, seed, *args):
+    start = time.perf_counter()
+    report = run_property(spec, seed, *args)
+    seconds[spec.name] = time.perf_counter() - start
+    return report
+propsuite.run_property = timed
+with tempfile.TemporaryDirectory() as tmp:
+    out = os.path.join(tmp, "campaign.json")
+    code = cli.main(["campaign", "--seed", "20240", "--out", out])
+    with open(out, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+print(json.dumps({"exit_code": code, "report_sha256": digest,
+                  "property_seconds": seconds}))
+"""
 
 
 def source_sha256(checkout: Path) -> str:
@@ -79,6 +108,15 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float,
             record["report_sha256"] = match.group(2)
             record["merge_identical"] = match.group(3) == "True"
     return record
+
+
+def default_campaign(checkout: Path) -> dict:
+    """The checkout's default campaign: exit code, report SHA-256 and the
+    wall time of each property."""
+    done = subprocess.run([sys.executable, "-c", CAMPAIGN_PROBE], cwd=checkout,
+                          env={**os.environ, **BLAS_ONE_THREAD},
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 def quartiles(values: list[float]) -> dict:
@@ -148,9 +186,15 @@ def main(argv=None) -> int:
 
     data = (json.loads(args.out.read_text()) if args.out.exists()
             else {"command": "python3 specbench/run.py", "checkouts": {}, "runs": []})
+    campaigns = data.setdefault("campaigns", {})
     for label, path in checkouts.items():
-        data["checkouts"][label] = {**git_state(path),
-                                    "source_sha256": source_sha256(path)}
+        digest = source_sha256(path)
+        data["checkouts"][label] = {**git_state(path), "source_sha256": digest}
+        if digest not in campaigns:
+            campaigns[digest] = default_campaign(path)
+            print(f"campaign {label} sha256={campaigns[digest]['report_sha256']}",
+                  flush=True)
+    args.out.write_text(json.dumps(data, indent=1) + "\n")
 
     def record(label, workload, trace, pair=None):
         run = run_once(checkouts[label], workload, args.seed, args.seconds, trace)
