@@ -16,9 +16,9 @@ import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
 from .jsonio import matrix_to_rows, rows_to_matrix
-from .numkernel import (ClusteredSpectrum, NonFiniteError, SpecrankError,
-                        as_matrix, cluster, eig, frobenius, mat_rank,
-                        riesz_projection)
+from .numkernel import (ClusteredSpectrum, ContourError, NonFiniteError,
+                        SpecrankError, as_matrix, cluster, eig, frobenius,
+                        mat_rank, riesz_projection, settle)
 
 FINITE = "finite"
 INFINITE_SOCLE = "infinite"
@@ -157,8 +157,8 @@ def identity(shape: AlgebraShape) -> Element:
 
 
 def norm(a: Element) -> float:
-    """Max over blocks of the Frobenius norm; submultiplicative. Entries
-    beyond about 1e154 overflow its sum of squares: ``NonFiniteError``."""
+    """Max over blocks of the Frobenius norm; submultiplicative. A norm
+    beyond the float range is ``NonFiniteError``."""
     value = max(frobenius(b) for b in a.blocks)
     if not math.isfinite(value):
         raise NonFiniteError("element norm overflowed to a non-finite value")
@@ -283,35 +283,50 @@ def is_singular(a: Element, tols: Tolerances = DEFAULT_TOLS) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class ProjectionElement:
-    """An idempotent element, to ``DEFAULT_TOLS.projection_idem``;
-    Hermitian-ness is not required."""
+    """An idempotent element, to ``tols.projection_idem``; Hermitian-ness is
+    not required."""
 
     element: Element
+    tols: Tolerances = DEFAULT_TOLS
 
     def __post_init__(self):
         p = self.element
         defect = norm(p * p - p)
-        if defect > DEFAULT_TOLS.projection_idem * (1.0 + norm(p)):
+        if defect > self.tols.projection_idem * (1.0 + norm(p)):
             raise ValueError(f"not a projection: ||p^2 - p|| = {defect:.3e}")
 
     def __add__(self, other: "ProjectionElement") -> "ProjectionElement":
         # valid for mutually orthogonal projections; construction re-validates
-        return ProjectionElement(self.element + other.element)
+        return ProjectionElement(self.element + other.element, self.tols)
+
+
+def riesz_values(a: Element, centers, radius: float,
+                 tols: Tolerances = DEFAULT_TOLS) -> list:
+    """Per-block spectral projectors of ``a`` for the disks of one radius
+    around each of ``centers``: per center, its tuple of block projectors,
+    or the ``ContourError`` of the first block that rejected it, unraised.
+    Each block's contours are one ``riesz_projection`` call, whose clearance
+    checks use the block's cached eigenvalues."""
+    if not len(centers):
+        return []
+    per_block = [riesz_projection(b, centers, radius, tols, values)
+                 for b, values in zip(a.blocks, a.block_eigs())]
+    return [next((p for p in blocks if isinstance(p, ContourError)), blocks)
+            for blocks in zip(*per_block)]
 
 
 def riesz_blocks(a: Element, center: complex, radius: float,
                  tols: Tolerances = DEFAULT_TOLS) -> tuple[np.ndarray, ...]:
-    """Per-block spectral projectors of ``a`` for the disk around ``center``;
-    each contour's clearance check uses the block's cached eigenvalues."""
-    return tuple(riesz_projection(b, center, radius, tols, values)
-                 for b, values in zip(a.blocks, a.block_eigs()))
+    """Per-block spectral projectors of ``a`` for the disk around ``center``."""
+    return settle(riesz_values(a, [center], radius, tols)[0])
 
 
 def riesz_element(a: Element, center: complex, radius: float,
                   tols: Tolerances = DEFAULT_TOLS) -> ProjectionElement:
-    """Blockwise spectral projector of ``a`` for the disk around ``center``."""
-    blocks = riesz_blocks(a, center, radius, tols)
-    return ProjectionElement(Element(a.shape, blocks))
+    """Blockwise spectral projector of ``a`` for the disk around ``center``,
+    checked as a projection under the ``tols`` its blocks passed."""
+    return ProjectionElement(Element(a.shape, riesz_blocks(a, center, radius, tols)),
+                             tols)
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,13 +18,13 @@ import numpy as np
 
 from . import config
 from .algebra import (Element, ProjectionElement, identity, is_singular, norm,
-                      nonzero_spectrum, random_element, riesz_element, tau_of,
+                      nonzero_spectrum, random_element, riesz_values, tau_of,
                       zero)
 from .config import DEFAULT_TOLS, Tolerances
 from .jsonio import complex_to_pair, pair_to_complex
 from .multiplicity import (MultiplicityRecord, UnstableMultiplicityError,
                            multiplicities, spectral_gap)
-from .numkernel import NonFiniteError, SpecrankError
+from .numkernel import NonFiniteError, SpecrankError, settle
 from .rank import (RankCertificate, is_maximal, rank_oracle, require_certified,
                    spectral_rank)
 
@@ -223,8 +223,8 @@ def diagonalize_maximal(a: Element, rng: np.random.Generator,
     gap = spectral_gap(a, tols)
     radius = gap / config.RIESZ_RADIUS_DIV
     pairs = []
-    for v in values:
-        proj = riesz_element(a, v, radius, tols)
+    for v, blocks in zip(values, riesz_values(a, values, radius, tols)):
+        proj = ProjectionElement(Element(a.shape, settle(blocks)), tols)
         r = rank_oracle(proj.element, tols)
         if r != 1:
             raise DiagonalizationError(

@@ -27,7 +27,6 @@ class Tolerances:
     projection_idem: float = 1e-8
     # trace of a spectral projector must sit this close to an integer
     projection_trace: float = 1e-6
-    contour_nodes: int = 64
     # reject contours with an eigenvalue within contour_clearance * radius
     contour_clearance: float = 0.1
     # normalized annihilation residual accepted in campaigns

@@ -19,11 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .algebra import (Element, norm, random_block_stacks, riesz_blocks,
+from .algebra import (Element, norm, random_block_stacks, riesz_values,
                       spectrum, witness_spectra)
 from .config import DEFAULT_TOLS, Tolerances
 from .jsonio import complex_to_pair
-from .numkernel import SpecrankError
+from .numkernel import SpecrankError, settle
 from .rank import RankCertificate, rank_oracle, require_certified, spectral_rank
 
 
@@ -145,6 +145,9 @@ def multiplicities(a: Element, rng: np.random.Generator,
     if not all(len(set(v)) == 1 for v in votes):
         collect(config.VOTE_SAMPLES_MAX - config.VOTE_SAMPLES)
 
+    # every contour is computed here; each one's error is raised at its value
+    riesz = iter(_riesz_count(a, [c for c in centers if abs(c) > spec.tol], gap, tols)
+                 if with_riesz else ())
     records = []
     for center, vote in zip(centers, votes):
         hist: dict[int, int] = {}
@@ -158,7 +161,7 @@ def multiplicities(a: Element, rng: np.random.Generator,
                 f"{len(vote)} samples", histogram=histogram)
         m_riesz = None
         if with_riesz and abs(center) > spec.tol:
-            m_riesz = _riesz_count(a, center, gap, tols)
+            m_riesz = settle(next(riesz))
         records.append(MultiplicityRecord(
             value=center, m_counting=int(winner), m_riesz=m_riesz,
             disk_radius=radius, samples=len(vote), votes=histogram))
@@ -193,22 +196,26 @@ def multiplicity_riesz(a: Element, lam: complex,
     spec, nearest = _spectral_value(a, lam, tols)
     if abs(nearest) <= spec.tol:
         raise SpectrumDomainError("projector route applies to nonzero values only")
-    return _riesz_count(a, nearest, spectral_gap(a, tols), tols)
+    return settle(_riesz_count(a, [nearest], spectral_gap(a, tols), tols)[0])
 
 
-def _riesz_count(a: Element, value: complex, gap: float,
-                 tols: Tolerances) -> int:
-    """``multiplicity_riesz`` at the nonzero spectral value ``value`` of
-    ``a``, given the spectral gap of ``a``."""
-    radius = gap / config.RIESZ_RADIUS_DIV
-    total = 0.0 + 0.0j
-    for p in riesz_blocks(a, value, radius, tols):
-        total += np.trace(p)
-    m = round(total.real)
-    if abs(total - m) > tols.projection_trace:
-        raise UnstableMultiplicityError(
-            f"summed projector trace {total} is not near an integer")
-    return int(m)
+def _riesz_count(a: Element, values: list, gap: float, tols: Tolerances) -> list:
+    """``multiplicity_riesz`` at each nonzero spectral value in ``values``,
+    given the spectral gap of ``a``: per value, the count or the error that
+    value raises, unraised."""
+    counts = []
+    for blocks in riesz_values(a, values, gap / config.RIESZ_RADIUS_DIV, tols):
+        if isinstance(blocks, SpecrankError):
+            counts.append(blocks)
+            continue
+        total = 0.0 + 0.0j
+        for p in blocks:
+            total += np.trace(p)
+        m = round(total.real)
+        counts.append(int(m) if abs(total - m) <= tols.projection_trace else
+                      UnstableMultiplicityError(
+                          f"summed projector trace {total} is not near an integer"))
+    return counts
 
 
 def multiplicity_oracle(a: Element, lam: complex,

@@ -1,5 +1,5 @@
 """Dense complex matrix kernel: eigenvalues, clustering, rank, determinant,
-classical characteristic polynomials, and contour-integral spectral projectors.
+classical characteristic polynomials, and spectral projectors for disks.
 
 Matrices are plain ``numpy`` arrays of complex128; ``as_matrix`` is the single
 validation gate (square, finite entries). Eigenvalues come from LAPACK's
@@ -10,6 +10,7 @@ backward stable for general dense complex spectra.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +35,8 @@ class NonFiniteError(SpecrankError):
 class ContourError(SpecrankError):
     """Raised when a spectral contour is invalid or too close to the spectrum.
 
-    Carries the measured idempotency defect when the trapezoid result fails
-    the projection check.
+    Carries the measured idempotency defect when the computed projector
+    fails the projection check.
     """
 
     def __init__(self, msg, defect=None):
@@ -62,7 +63,17 @@ def _square(m, ndim: int) -> np.ndarray:
 
 
 def frobenius(m) -> float:
-    return float(np.linalg.norm(np.asarray(m), "fro"))
+    """Frobenius norm. When the plain sum of squares overflows, the entries
+    are scaled by their largest component first, so only a norm beyond the
+    float range is inf; every other input keeps the plain norm's bits."""
+    a = np.asarray(m)
+    with np.errstate(over="ignore"):
+        plain = float(np.linalg.norm(a, "fro"))
+    if plain < np.inf or not np.isfinite(a).all():
+        return plain
+    scale = float(max(np.abs(a.real).max(), np.abs(a.imag).max()))
+    with np.errstate(over="ignore"):
+        return scale * float(np.linalg.norm(a / scale, "fro"))
 
 
 def eig(m) -> np.ndarray:
@@ -274,67 +285,182 @@ def classical_charpoly(m) -> np.ndarray:
     return ((-1.0) ** n) * np.poly(values)
 
 
-def riesz_projection(m, center: complex, radius: float,
-                     tols: Tolerances = DEFAULT_TOLS, values=None) -> np.ndarray:
-    """Spectral projector ``(2 pi i)^-1 \\oint (zeta I - m)^-1 d zeta``.
+# Newton's sign iteration gives up after this many steps: a contour whose
+# iterate has not met the step test by then is rejected
+SIGN_MAX_STEPS = 60
+# the step test: a step moves no entry by more than this times the largest
+# entry of the new iterate; one more step follows it
+SIGN_STEP_REL = 1e-4
 
-    The contour is the circle ``|zeta - center| = radius`` discretized by the
-    trapezoidal rule at ``tols.contour_nodes`` nodes, which converges
-    exponentially for the analytic resolvent. The resolvents at all nodes are
-    independent, so they are solved as one stacked system. A contour with an
-    eigenvalue within ``tols.contour_clearance * radius`` of the circle is
-    rejected before solving. The result must satisfy ``||p^2 - p|| <=
-    tols.projection_idem * (1 + ||p||)`` and have trace within
-    ``tols.projection_trace`` of an integer (the enclosed algebraic
+
+def riesz_projection(m, center, radius: float, tols: Tolerances = DEFAULT_TOLS,
+                     values=None):
+    """Spectral projector of ``m`` for the disk ``|z - center| < radius``.
+
+    With ``B = m - center`` and ``r = radius``, the transform ``T = (B -
+    r)^-1 (B + r)`` maps the disk to the left half-plane, so the projector
+    is ``(1 - sign(T)) / 2``. ``T`` takes one solve; Newton's iteration ``X
+    <- (X + X^-1) / 2`` from ``X = T`` reaches ``sign(T)`` in a few
+    inverses (Higham, *Functions of Matrices*, ch. 5), and needs no
+    eigenvectors. An iterate stops once a step meets the ``SIGN_STEP_REL``
+    test, after one more step; one that has not met it in
+    ``SIGN_MAX_STEPS`` steps is rejected.
+
+    A contour with an eigenvalue within ``tols.contour_clearance * radius``
+    of the circle is rejected before solving; this also keeps the spectrum
+    of ``T`` off the imaginary axis. The result must be finite, satisfy
+    ``||p^2 - p|| <= tols.projection_idem * (1 + ||p||)`` and have trace
+    within ``tols.projection_trace`` of an integer (the enclosed algebraic
     multiplicity); otherwise the contour is rejected as too close to the
     spectrum. ``values`` are the eigenvalues of ``m`` for the clearance
     check when the caller already has them; they are computed otherwise.
+
+    ``center`` may be a sequence of ``k`` centers. Their contours are then
+    one ``(k, n, n)`` stack: LAPACK and the elementwise steps treat each
+    matrix on its own, and each stops on its own test, so a stacked
+    projector is bit for bit the one computed alone. The result is a list
+    holding, per center, the projector or the ``ContourError`` it was
+    rejected with, unraised, so that a caller walking the centers raises
+    the error it meets first.
     """
     a = as_matrix(m)
-    nodes, clearance = tols.contour_nodes, tols.contour_clearance
     if radius <= 0:
         raise ValueError("contour radius must be positive")
-    if nodes < 16:
-        raise ValueError("need at least 16 quadrature nodes")
-
     values = eig(a) if values is None else values
-    if values.size:
-        dist_to_circle = np.abs(np.abs(values - center) - radius)
-        if float(np.min(dist_to_circle)) < clearance * radius:
-            raise ContourError(
+    one = np.ndim(center) == 0
+    # overflow is detected and rejected per contour, so it does not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        outcomes = _riesz_stack(a, [center] if one else list(center), radius, tols,
+                                values)
+    return settle(outcomes[0]) if one else outcomes
+
+
+def settle(outcome):
+    """Raise ``outcome`` if it is an exception; return it otherwise."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _riesz_stack(a, centers, radius, tols, values) -> list:
+    clearance = tols.contour_clearance
+    outcomes: list = [None] * len(centers)
+    shifts = np.array(centers, dtype=np.complex128)
+    if values.size and centers:
+        dist_to_circle = np.abs(np.abs(values - shifts[:, None]) - radius).min(axis=1)
+        for i in np.flatnonzero(dist_to_circle < clearance * radius).tolist():
+            outcomes[i] = ContourError(
                 "contour too close to spectrum: eigenvalue within "
                 f"{clearance:g}*radius of the circle")
+    live = [i for i, o in enumerate(outcomes) if o is None]
+    if not live:
+        return outcomes
+
+    def kept(flags, msg) -> list[int]:
+        """Reject the live contours flagged; the positions of the rest."""
+        nonlocal live
+        for i, flag in zip(live, flags):
+            if flag:
+                outcomes[i] = ContourError(msg)
+        keep = [j for j, flag in enumerate(flags) if not flag]
+        live = [live[j] for j in keep]
+        return keep
 
     eye = np.eye(a.shape[0], dtype=np.complex128)
-    w = radius * np.exp(1j * (2.0 * np.pi * np.arange(nodes) / nodes))
-    # the (nodes, n, n) stacks are updated in place: a fresh stack per step
-    # makes malloc grow and trim its heap on every contour, page-faulting
-    # the memory anew each time
-    shifted = (center + w)[:, None, None] * eye
-    shifted -= a
-    try:
-        r = np.linalg.solve(shifted, eye)
-    except np.linalg.LinAlgError as exc:
-        raise ContourError(f"contour node on the spectrum: {exc}") from exc
-    # w_k * r_k with w first: r *= w rounds differently
-    np.multiply(w[:, None, None], r, out=r)
-    # running sum in node order, the rounding of a node-by-node loop; a
-    # reduction such as .sum(0) rounds differently. Adding 0.0 turns an
-    # all-(-0.0) sum into the +0.0 a loop starting from zeros gives.
-    p = (np.cumsum(r, axis=0, out=r)[-1] + 0.0) / nodes
-    if not np.isfinite(p).all():
-        raise ContourError("contour projector overflowed to a non-finite value")
+    shift = a - shifts[live, None, None] * eye
+    lower, upper = shift - radius * eye, shift + radius * eye
+    if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
+        finite = np.isfinite(lower).all(axis=(1, 2)) & np.isfinite(upper).all(axis=(1, 2))
+        keep = kept((~finite).tolist(),
+                    "contour transform overflowed to a non-finite value")
+        lower, upper = lower[keep], upper[keep]
+    # T = (B - r)^-1 (B + r) for B = a - center; its pole, center +
+    # radius, is a point of the circle
+    x, singular = _each_matrix(np.linalg.solve, lower, upper)
+    if any(singular):
+        x = x[kept(singular, "contour node on the spectrum: center + radius "
+                   "is an eigenvalue")]
 
-    defect = frobenius(p @ p - p)
-    if defect > tols.projection_idem * (1.0 + frobenius(p)):
-        raise ContourError(
-            f"contour too close to spectrum: ||p^2 - p|| = {defect:.3e}",
-            defect=defect)
-    tr = complex(np.trace(p))
-    if abs(tr - round(tr.real)) > tols.projection_trace:
-        raise ContourError(
-            f"projector trace {tr} is not near an integer", defect=defect)
-    return p
+    signs = np.empty_like(x)
+    rows = list(range(len(live)))  # each live contour's row in signs
+    finished: list[tuple[int, int]] = []  # (contour, row)
+    last = [False] * len(live)  # met the step test: one more step
+    for _ in range(SIGN_MAX_STEPS):
+        if not live:
+            break
+        inverse, singular = _each_matrix(np.linalg.inv, x)
+        step = x + inverse
+        step *= 0.5
+        moved = np.abs(step - x).max(axis=(1, 2)).tolist()
+        largest = np.abs(step).max(axis=(1, 2)).tolist()
+        keep = []
+        for j, i in enumerate(live):
+            if singular[j]:
+                outcomes[i] = ContourError("sign iteration reached a singular matrix")
+            elif not math.isfinite(largest[j]):
+                outcomes[i] = ContourError(
+                    "contour projector overflowed to a non-finite value")
+            elif last[j]:
+                signs[rows[j]] = step[j]
+                finished.append((i, rows[j]))
+            else:
+                keep.append(j)
+                last[j] = moved[j] <= SIGN_STEP_REL * largest[j]
+        if len(keep) < len(live):
+            live, rows = [live[j] for j in keep], [rows[j] for j in keep]
+            step, last = step[keep], [last[j] for j in keep]
+        x = step
+    for i in live:
+        outcomes[i] = ContourError(
+            f"sign iteration did not converge in {SIGN_MAX_STEPS} steps")
+    if finished:
+        done = [row for _, row in finished]
+        checked = _checked_projectors((eye - signs[done]) * 0.5, tols)
+        for (i, _), outcome in zip(finished, checked):
+            outcomes[i] = outcome
+    return outcomes
+
+
+def _each_matrix(solver, *stacks) -> tuple[np.ndarray, list[bool]]:
+    """``solver`` over ``(k, n, n)`` stacks in one call, and per matrix
+    whether LAPACK found it singular. When it finds one, the stack is redone
+    matrix by matrix and the singular ones give nan."""
+    try:
+        return solver(*stacks), [False] * len(stacks[0])
+    except np.linalg.LinAlgError:
+        out = np.full_like(stacks[-1], np.nan)
+        singular = [False] * len(out)
+        for j, items in enumerate(zip(*stacks)):
+            try:
+                out[j] = solver(*items)
+            except np.linalg.LinAlgError:
+                singular[j] = True
+        return out, singular
+
+
+def _checked_projectors(p: np.ndarray, tols: Tolerances) -> list:
+    """Per finite projector of the stack ``p``: itself, or the
+    ``ContourError`` of the first check it fails, idempotency then a trace
+    near an integer. A norm whose plain sum of squares overflows is taken
+    again by ``frobenius``."""
+    defects = p @ p - p
+    norms = zip(np.linalg.norm(defects, axis=(1, 2)).tolist(),
+                np.linalg.norm(p, axis=(1, 2)).tolist(),
+                np.trace(p, axis1=1, axis2=2).tolist())
+    checked = []
+    for pj, dj, (defect, size, tr) in zip(p, defects, norms):
+        defect = defect if defect < math.inf else frobenius(dj)
+        size = size if size < math.inf else frobenius(pj)
+        if defect > tols.projection_idem * (1.0 + size):
+            checked.append(ContourError(
+                f"contour too close to spectrum: ||p^2 - p|| = {defect:.3e}",
+                defect=defect))
+        elif abs(tr - round(tr.real)) > tols.projection_trace:
+            checked.append(ContourError(
+                f"projector trace {tr} is not near an integer", defect=defect))
+        else:
+            checked.append(pj)
+    return checked
 
 
 def hausdorff(points_a, points_b) -> float:

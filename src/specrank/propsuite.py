@@ -312,7 +312,7 @@ def _projection_from_maximal(shape: AlgebraShape, rng: np.random.Generator,
     for keep, (_, proj) in zip(mask, pairs):
         if keep:
             total = total + proj.element
-    return ProjectionElement(total)
+    return ProjectionElement(total, tols)
 
 
 # ---------------------------------------------------------------------------

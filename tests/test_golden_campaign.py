@@ -11,7 +11,7 @@ from specrank.propsuite import PROPERTY_NAMES, CampaignSettings, run_campaign
 
 GOLDEN_SEED = 20240
 GOLDEN_TRIALS = 8
-GOLDEN_SHA256 = "a19654c0fd05167a48bba502febd8ec2aa32462200c7f2d0e8d8e056ab6ee80a"
+GOLDEN_SHA256 = "6589a71fd2bd8d59e2656a1ba3d06cfe9edf3a7d15c6ebc2bb317f6c30a868d9"
 
 
 def test_campaign_report_bytes_are_pinned():

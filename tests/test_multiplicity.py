@@ -5,9 +5,12 @@ import pytest
 
 from specrank.algebra import (AlgebraShape, Element, INFINITE_SOCLE,
                               random_socle_element, spectrum)
-from specrank.multiplicity import (SpectrumDomainError, multiplicities,
-                                   multiplicity, multiplicity_oracle,
-                                   multiplicity_riesz, spectral_gap)
+from specrank.config import DEFAULT_TOLS
+from specrank.multiplicity import (SpectrumDomainError, _riesz_count,
+                                   multiplicities, multiplicity,
+                                   multiplicity_oracle, multiplicity_riesz,
+                                   spectral_gap)
+from specrank.numkernel import ContourError, riesz_projection
 from specrank.rank import make_maximal, spectral_rank
 from conftest import make_rng
 
@@ -200,3 +203,24 @@ def test_record_json_round_trip(rng):
     assert data["m_counting"] == 1
     assert data["m_riesz"] == 1
     assert isinstance(data["votes"], list)
+
+
+def test_block_failures_raised_value_by_value():
+    # block 0 rejects the contour around 5, whose circle passes through its
+    # eigenvalue 6; block 1's transform overflows around -8e307. Walked value
+    # by value, then block by block, the overflow comes first.
+    a = Element(AlgebraShape(dims=(2, 1)),
+                (np.diag([0.0, 6.0]), np.array([[1e308]])))
+    centers = [-8e307, 5.0]
+    first_errors = []
+    for center in centers:  # one kernel call per value and block
+        errors = []
+        for block, values in zip(a.blocks, a.block_eigs()):
+            try:
+                riesz_projection(block, center, 1.0, values=values)
+            except ContourError as exc:
+                errors.append(f"{type(exc).__name__}: {exc}")
+        first_errors.append(errors[0])
+    assert "overflowed" in first_errors[0] and "too close" in first_errors[1]
+    counts = _riesz_count(a, centers, 2.0, DEFAULT_TOLS)
+    assert [f"{type(c).__name__}: {c}" for c in counts] == first_errors

@@ -13,7 +13,7 @@ from specrank.charpoly import (CharPoly, det_plus_one, residual_scale,
 from specrank.cli import main
 from specrank.jsonio import matrix_to_rows
 from specrank.numkernel import (ContourError, NonFiniteError, cluster,
-                                riesz_projection)
+                                frobenius, riesz_projection)
 from conftest import make_rng
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -84,10 +84,17 @@ def test_element_arithmetic_overflow():
 
 
 def test_norm_overflow():
-    # the Frobenius sum of squares overflows long before the entries do
-    a = Element(AlgebraShape(dims=(2,)), (np.diag([1e200, 1.0]),))
+    # the norm itself, 2.1e308, is beyond the float range
+    a = Element(AlgebraShape(dims=(2,)), (np.diag([1.5e308, 1.5e308]),))
     with pytest.raises(NonFiniteError, match="norm"):
         norm(a)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_norm_rescaled_only_when_its_sum_of_squares_overflows():
+    assert norm(Element(AlgebraShape(dims=(2,)), (np.diag([1e300, 1.0]),))) == 1e300
+    m = make_rng(3).standard_normal((4, 4)) + 1j
+    assert frobenius(m) == float(np.linalg.norm(m, "fro"))
 
 
 def test_spectral_radius_overflow():

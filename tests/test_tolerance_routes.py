@@ -1,14 +1,16 @@
 """Contour settings and sample counts have one source each: the contour's
-node count and acceptance thresholds come from ``Tolerances``, the rank
-sample count from ``config``."""
+acceptance thresholds come from ``Tolerances``, the rank sample count from
+``config``."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from specrank import config
-from specrank.algebra import AlgebraShape, Element, riesz_element, zero
+from specrank import config, numkernel
+from specrank.algebra import (AlgebraShape, Element, ProjectionElement,
+                              riesz_element, zero)
+from specrank.charpoly import diagonalize_maximal
 from specrank.config import DEFAULT_TOLS
 from specrank.multiplicity import multiplicity_riesz
 from specrank.numkernel import ContourError, SpecrankError
@@ -33,30 +35,48 @@ def _routes(radius, tols) -> tuple[str, str]:
             _outcome(lambda: multiplicity_riesz(A, 1.0, tols)))
 
 
-# at 32 nodes the projector at radius 0.5 misses idempotency and an integer
-# trace by about 3e-10 and 5e-10, inside the defaults and outside 1e-12
-@pytest.mark.parametrize("field, value, base", [
-    ("contour_nodes", 16, {}),
-    ("contour_clearance", 1.5, {}),
-    ("projection_idem", 1e-12, {"contour_nodes": 32}),
-    ("projection_trace", 1e-12, {"contour_nodes": 32}),
-])
-def test_contour_setting_reaches_both_routes(field, value, base):
-    before = replace(DEFAULT_TOLS, **base)
-    after = replace(before, **{field: value})
-    assert _routes(0.5, before) == ("ok", "ok")
+# with the sign iteration's step test at 1e-2, it stops one step early and
+# the projector at radius 0.5 misses idempotency and an integer trace by
+# about 3e-10 and 5e-10, inside the defaults and outside 1e-12
+# (the ids keep the names these cases had when each carried a base Tolerances)
+@pytest.mark.parametrize("field, value, step_rel", [
+    ("contour_clearance", 1.5, numkernel.SIGN_STEP_REL),
+    ("projection_idem", 1e-12, 1e-2),
+    ("projection_trace", 1e-12, 1e-2),
+], ids=["contour_clearance-1.5-base1", "projection_idem-1e-12-base2",
+        "projection_trace-1e-12-base3"])
+def test_contour_setting_reaches_both_routes(monkeypatch, field, value, step_rel):
+    monkeypatch.setattr(numkernel, "SIGN_STEP_REL", step_rel)
+    after = replace(DEFAULT_TOLS, **{field: value})
+    assert _routes(0.5, DEFAULT_TOLS) == ("ok", "ok")
     element_route, count_route = _routes(0.5, after)
     assert element_route.startswith("ContourError")
     assert element_route == count_route
 
 
-@pytest.mark.parametrize("nodes, error", [(8, ValueError), (16, ContourError)])
-def test_too_few_nodes_fail_both_routes(nodes, error):
-    tols = replace(DEFAULT_TOLS, contour_nodes=nodes)
-    with pytest.raises(error):
-        riesz_element(A, 1.0, 0.4, tols)
-    with pytest.raises(error):
-        multiplicity_riesz(A, 1.0, tols)
+def test_projection_checked_under_the_tols_given():
+    # ||p^2 - p|| = 1e-5: a projection to 1e-3, not to the default 1e-8
+    p = Element(M3, (np.diag([1.0, 1e-5, 0.0]),))
+    loose = replace(DEFAULT_TOLS, projection_idem=1e-3)
+    assert ProjectionElement(p, loose).tols is loose
+    with pytest.raises(ValueError, match="not a projection"):
+        ProjectionElement(p)
+
+
+def test_contour_projectors_checked_under_their_tols(monkeypatch):
+    # with the step test at 0.2 the sign iteration stops two steps early:
+    # each projector misses idempotency by about 2e-5
+    monkeypatch.setattr(numkernel, "SIGN_STEP_REL", 0.2)
+    loose = replace(DEFAULT_TOLS, projection_idem=1e-3, projection_trace=1e-3,
+                    rank_rel=1e-3)
+    assert riesz_element(A, 1.0, 0.5, loose).tols is loose
+    assert multiplicity_riesz(A, 1.0, loose) == 1
+    b = Element(M3, (np.diag([1.0, 2.0, 0.0]),))
+    pairs = diagonalize_maximal(b, make_rng(3), tols=loose)
+    assert [v for v, _ in pairs] == [1.0, 2.0]
+    assert all(p.tols is loose for _, p in pairs)
+    with pytest.raises(ContourError, match="p\\^2 - p"):
+        riesz_element(A, 1.0, 0.5, replace(loose, projection_idem=1e-8))
 
 
 def test_rank_sample_count_read_from_config(monkeypatch):
