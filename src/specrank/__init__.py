@@ -19,8 +19,7 @@ from .multiplicity import (MultiplicityRecord, SpectrumDomainError,
                            multiplicity_riesz, spectral_gap)
 from .numkernel import (ClusteredSpectrum, ContourError, ConvergenceError,
                         NonFiniteError, SpecrankError, classical_charpoly,
-                        cluster, eig, hausdorff, mat_det, mat_rank,
-                        riesz_projection)
+                        cluster, eig, hausdorff, mat_rank, riesz_projection)
 from .propsuite import (CampaignReport, CampaignSettings, PropertyReport,
                         PropertySpec, ShapePolicy, run_campaign, run_property)
 from .rank import (IllConditionedError, RankCertificate, UncertifiedRankError,

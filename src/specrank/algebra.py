@@ -65,7 +65,8 @@ class AlgebraShape:
 class Element:
     """An element ``(a_1, ..., a_k)``, one dense complex matrix per block.
 
-    Elements are immutable: the blocks are private read-only copies. So each
+    Elements are immutable: the blocks are private read-only arrays, copies
+    of the input or fresh results of arithmetic on other elements. So each
     block's eigenvalues are computed at most once, and the clustered
     spectrum once per ``Tolerances``, then cached on the element.
     """
@@ -82,6 +83,12 @@ class Element:
             if b.shape[0] != d:
                 raise ShapeMismatchError(
                     f"block of dim {b.shape[0]} does not match shape dim {d}")
+        self._adopt(blocks)
+
+    def _adopt(self, blocks: tuple[np.ndarray, ...]):
+        """Take ``blocks``, valid and held by no one else, as this element's
+        own: read-only, with empty caches."""
+        for b in blocks:
             b.flags.writeable = False
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "_block_eigs", None)
@@ -109,7 +116,7 @@ class Element:
         return _computed(self.shape, (a - b for a, b in zip(self.blocks, other.blocks)))
 
     def __neg__(self) -> "Element":
-        return Element(self.shape, tuple(-a for a in self.blocks))
+        return _computed(self.shape, (-a for a in self.blocks))
 
     def __mul__(self, other):
         if isinstance(other, Element):
@@ -136,16 +143,21 @@ class Element:
 
 
 def _computed(shape: AlgebraShape, blocks, what: str = "element arithmetic") -> Element:
-    """Element of ``shape`` whose blocks were computed from valid elements.
+    """Element of ``shape`` over blocks freshly computed from valid elements.
 
-    The blocks have the right shapes, so the only check they can fail is
-    finiteness: the arithmetic overflowed, which is ``NonFiniteError``, not
-    the ``ValueError`` of invalid input.
+    The blocks are new complex arrays of the right shapes, so they are taken
+    without a copy, and the only check they can fail is finiteness: the
+    arithmetic overflowed, which is ``NonFiniteError``, not the
+    ``ValueError`` of invalid input.
     """
-    try:
-        return Element(shape, tuple(blocks))
-    except ValueError as exc:
-        raise NonFiniteError(f"{what} overflowed: {exc}") from exc
+    blocks = tuple(blocks)
+    for b in blocks:
+        if not np.isfinite(b).all():
+            raise NonFiniteError(f"{what} overflowed: matrix entries must be finite")
+    element = object.__new__(Element)
+    object.__setattr__(element, "shape", shape)
+    element._adopt(blocks)
+    return element
 
 
 def zero(shape: AlgebraShape) -> Element:

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .algebra import (Element, ProjectionElement, identity, is_singular, norm,
-                      nonzero_spectrum, random_element, riesz_values, tau_of,
-                      zero)
+from .algebra import (Element, ProjectionElement, _computed, identity,
+                      is_singular, norm, nonzero_spectrum, random_element,
+                      riesz_values, tau_of, zero)
 from .config import DEFAULT_TOLS, Tolerances
 from .jsonio import complex_to_pair, pair_to_complex
 from .multiplicity import (MultiplicityRecord, UnstableMultiplicityError,
@@ -152,17 +152,26 @@ def eval_element(p: CharPoly, x: Element, e: Element | None = None) -> Element:
     """Evaluate ``prod (root*e - x)^mult`` left to right, largest root first.
 
     ``e`` is the identity to use: the ambient identity by default, or the
-    identity of a corner view when evaluating inside a compression.
+    identity of a corner view when evaluating inside a compression. Each
+    block is evaluated on its own with the numpy operations that ``acc =
+    acc * (root * e - x)`` on elements runs, in the same order, so the
+    result matches that loop bit for bit. Overflow is checked once, on the
+    result, and is ``NonFiniteError``.
     """
     if e is None:
         e = identity(x.shape)
     x._check_same(e)
-    acc = e
-    for root, m in p.factors:
-        base = root * e - x
-        for _ in range(m):
-            acc = acc * base
-    return acc
+    if not p.factors:
+        return e
+    blocks = []
+    for e_j, x_j in zip(e.blocks, x.blocks):
+        acc = e_j
+        for root, m in p.factors:
+            base = root * e_j - x_j
+            for _ in range(m):
+                acc = acc @ base
+        blocks.append(acc)
+    return _computed(x.shape, blocks)
 
 
 def residual_scale(p: CharPoly, element_norm: float) -> float:

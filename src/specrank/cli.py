@@ -248,8 +248,17 @@ def cmd_check(args) -> int:
         raise UsageError(f"cannot read element file: {exc}") from exc
     rng = _rng(args.seed)
     report = _analyze(element, rng, DEFAULT_TOLS)
-    _write_output(json.dumps(report, indent=2), args.out)
+    _write_output(_report_lines(report), args.out)
     return EXIT_OK
+
+
+def _report_lines(report: dict) -> str:
+    """``report`` as JSON with one top-level key per line and each value
+    compact. Unlike ``indent``, which makes ``json`` fall back to its
+    pure-Python encoder, this encodes every value with the C encoder."""
+    lines = ",\n".join(f"  {json.dumps(key)}: {json.dumps(value)}"
+                        for key, value in report.items())
+    return "{\n" + lines + "\n}"
 
 
 def cmd_campaign(args) -> int:

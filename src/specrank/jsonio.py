@@ -23,7 +23,8 @@ def pair_to_complex(pair) -> complex:
 
 
 def matrix_to_rows(m: np.ndarray) -> list[list[list[float]]]:
-    return [[complex_to_pair(z) for z in row] for row in np.asarray(m)]
+    m = np.asarray(m, dtype=np.complex128)
+    return np.stack((m.real, m.imag), -1).tolist()
 
 
 def rows_to_matrix(rows) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Dense complex matrix kernel: eigenvalues, clustering, rank, determinant,
-classical characteristic polynomials, and spectral projectors for disks.
+"""Dense complex matrix kernel: eigenvalues, clustering, rank, classical
+characteristic polynomials, and spectral projectors for disks.
 
 Matrices are plain ``numpy`` arrays of complex128; ``as_matrix`` is the single
 validation gate (square, finite entries). Eigenvalues come from LAPACK's
@@ -266,11 +266,6 @@ def mat_rank(m, tol: float) -> int:
     s = np.linalg.svd(as_matrix(m), compute_uv=False)
     cutoff = tol * max(float(s[0]) if s.size else 0.0, 1.0)
     return int(np.sum(s > cutoff))
-
-
-def mat_det(m) -> complex:
-    """Classical determinant via LU factorization."""
-    return complex(np.linalg.det(as_matrix(m)))
 
 
 def classical_charpoly(m) -> np.ndarray:

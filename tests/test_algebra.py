@@ -75,6 +75,14 @@ class TestArithmetic:
         assert allclose(2.0 * a, a + a)
         assert allclose(a * 2.0, a + a)
 
+    def test_results_are_read_only_and_own_their_blocks(self, rng):
+        a, b = random_element(M2_M1, rng), random_element(M2_M1, rng)
+        operands = a.blocks + b.blocks
+        for c in (a + b, a - b, -a, a * b, 2.0 * a, a * 2.0):
+            for block in c.blocks:
+                assert not block.flags.writeable
+                assert not any(np.shares_memory(block, o) for o in operands)
+
 
 class TestInverse:
     def test_identity(self):

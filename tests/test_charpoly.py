@@ -3,9 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from specrank.algebra import (AlgebraShape, Element, INFINITE_SOCLE,
+from specrank.algebra import (FINITE, INFINITE_SOCLE, AlgebraShape, Element,
                               ProjectionElement, compressed_view, identity,
-                              norm, random_socle_element, zero)
+                              norm, random_element, random_socle_element, zero)
 from specrank.charpoly import (CharPoly, DiagonalizationError,
                                approximation_sequence,
                                cayley_hamilton_residual, char_poly,
@@ -14,7 +14,7 @@ from specrank.charpoly import (CharPoly, DiagonalizationError,
                                diagonalize_maximal, eval_element, eval_scalar,
                                naive_det_demo, residual_scale, trace)
 from specrank.multiplicity import MultiplicityRecord, UnstableMultiplicityError
-from specrank.numkernel import classical_charpoly
+from specrank.numkernel import NonFiniteError, classical_charpoly
 from specrank.rank import make_maximal, spectral_rank
 from conftest import make_rng
 
@@ -35,6 +35,26 @@ def nilpotent2():
 def random_socle(shape, rng):
     ranks = tuple(int(rng.integers(0, d + 1)) for d in shape.dims)
     return random_socle_element(shape, ranks, rng)
+
+
+def eval_element_reference(p, x, e=None):
+    """``eval_element`` as a loop of Element arithmetic, one Element per
+    step: the reference its blockwise loop must match bit for bit."""
+    if e is None:
+        e = identity(x.shape)
+    acc = e
+    for root, m in p.factors:
+        base = root * e - x
+        for _ in range(m):
+            acc = acc * base
+    return acc
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape
+    for x, y in zip(a.blocks, b.blocks):
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.tobytes() == y.tobytes()
 
 
 class TestCharPolyConstruction:
@@ -157,6 +177,52 @@ class TestEvaluation:
         q = char_poly_maximal(inside)
         value = eval_element(q, inside, e=view.identity())
         assert norm(value) <= 1e-9 * residual_scale(q, norm(inside))
+
+    @pytest.mark.parametrize("ambient", [FINITE, INFINITE_SOCLE])
+    def test_element_matches_elementwise_loop_bitwise(self, ambient):
+        rng = make_rng(21)
+        shape = AlgebraShape(dims=(3, 5, 2, 6), ambient=ambient)
+        # 2 is a spectral value of multiplicity 3
+        repeated = diag_element(shape, [2.0, 2.0, 1.0], [2.0, 0.0, 0.0, 0.0, 0.0],
+                                [0.0, 0.0], [0.0] * 6)
+        for a in [random_socle(shape, rng) for _ in range(6)] + [repeated]:
+            p = char_poly(a, rng)
+            value = eval_element(p, a)
+            assert_same_bits(value, eval_element_reference(p, a))
+            for block in value.blocks:
+                assert not block.flags.writeable
+                assert not any(np.shares_memory(block, b) for b in a.blocks)
+        assert (2.0, 3) in p.factors
+        x = random_element(shape, rng)
+        p = CharPoly(factors=((1.5 - 0.5j, 3), (0.25j, 2), (0.0, 1)), source_rank=2)
+        assert_same_bits(eval_element(p, x), eval_element_reference(p, x))
+
+    def test_element_matches_elementwise_loop_bitwise_in_a_corner(self):
+        # an oblique projection p: e = p is the identity of the corner pAp
+        # upstairs, and the view identity is that of its compression
+        rng = make_rng(22)
+        s = np.eye(3) + 0.5 * rng.standard_normal((3, 3))
+        p = ProjectionElement(Element(M3, (s @ np.diag([1.0, 1.0, 0.0]) @ np.linalg.inv(s),)))
+        a = random_socle(M3, rng)
+        pap = p.element * a * p.element
+        q = CharPoly(factors=((2.0 + 1j, 2), (-0.5, 1), (0.0, 2)), source_rank=2)
+        assert_same_bits(eval_element(q, pap, e=p.element),
+                         eval_element_reference(q, pap, e=p.element))
+        view = compressed_view(p)
+        inside = view.compress(a)
+        assert_same_bits(eval_element(q, inside, e=view.identity()),
+                         eval_element_reference(q, inside, e=view.identity()))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_element_overflow_is_nonfinite_error(self):
+        a = diag_element(M2, [1e200, 1.0])
+        # the product (-a)^2 overflows
+        with pytest.raises(NonFiniteError, match="element arithmetic overflowed"):
+            eval_element(CharPoly(factors=((0.0, 2),), source_rank=0), a)
+        # the first base, 1e308 - (-1e308), overflows before any product
+        b = diag_element(M2, [-1e308, 1.0])
+        with pytest.raises(NonFiniteError, match="element arithmetic overflowed"):
+            eval_element(CharPoly(factors=((1e308, 1),), source_rank=1), b)
 
 
 class TestAnnihilationResidual:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from specrank import numkernel
 from specrank.numkernel import (ClusteredSpectrum, ContourError,
                                 ConvergenceError, as_matrix, classical_charpoly, cluster, eig, frobenius,
-                                hausdorff, mat_det, mat_rank, riesz_projection)
+                                hausdorff, mat_rank, riesz_projection)
 from specrank.jsonio import matrix_to_rows, rows_to_matrix
 from conftest import make_rng
 
@@ -127,30 +127,6 @@ class TestMatRank:
 
     def test_nilpotent(self):
         assert mat_rank(np.array([[0.0, 1.0], [0.0, 0.0]]), 1e-8) == 1
-
-
-class TestMatDet:
-    def test_diagonal(self):
-        assert abs(mat_det(np.diag([1.0, 2.0, 3.0])) - 6.0) < 1e-12
-
-    def test_singular(self):
-        assert abs(mat_det(np.diag([1.0, 0.0]))) < 1e-14
-
-    def test_two_by_two(self):
-        # cofactor formula: 1*4 - 2*3 = -2
-        assert abs(mat_det(np.array([[1.0, 2.0], [3.0, 4.0]])) + 2.0) < 1e-12
-
-    def test_multiplicative_on_well_conditioned_pairs(self):
-        rng = make_rng(7)
-        for _ in range(100):
-            n = int(rng.integers(1, 6))
-            m1 = np.eye(n) + 0.5 * (rng.standard_normal((n, n))
-                                    + 1j * rng.standard_normal((n, n))) / np.sqrt(2 * n)
-            m2 = np.eye(n) + 0.5 * (rng.standard_normal((n, n))
-                                    + 1j * rng.standard_normal((n, n))) / np.sqrt(2 * n)
-            lhs = mat_det(m1 @ m2)
-            rhs = mat_det(m1) * mat_det(m2)
-            assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(lhs), abs(rhs))
 
 
 class TestClassicalCharpoly:

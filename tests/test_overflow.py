@@ -11,7 +11,7 @@ from specrank.algebra import AlgebraShape, Element, norm, tau_of
 from specrank.charpoly import (CharPoly, det_plus_one, residual_scale,
                                weighted_sum)
 from specrank.cli import main
-from specrank.jsonio import matrix_to_rows
+from specrank.jsonio import matrix_to_rows, pair_to_complex
 from specrank.numkernel import (ContourError, NonFiniteError, cluster,
                                 frobenius, riesz_projection)
 from conftest import make_rng
@@ -63,6 +63,24 @@ def test_check_exits_numeric_or_reports_finite_numbers(tmp_path, capsys, name, s
         assert report["cayley_hamilton_residual"] <= 1e-6
     else:
         assert capsys.readouterr().err.startswith("numeric failure: ")
+
+
+@pytest.mark.parametrize("ambient", ["finite", "infinite"])
+def test_check_on_diag_1e300_1_fails_or_is_exact(tmp_path, capsys, ambient):
+    # rank 2 and det(a + 1) = 2e300 + 2 in both ambients: a certified rank 1
+    # with det(a + 1) = 0 would be a silently wrong answer
+    element_file = _write(tmp_path / "a.json", [np.diag([1e300, 1.0])], ambient)
+    out = tmp_path / "report.json"
+    for seed in range(1, 7):
+        code = main(["check", str(element_file), "--seed", str(seed), "--out", str(out)])
+        assert code in (0, 3)
+        if code == 0:
+            report = _strict_json(out.read_text())
+            assert report["rank"]["rank"] == 2 and report["rank"]["certified"]
+            det1 = pair_to_complex(report["det_plus_one"])
+            assert abs(det1 - 2e300) <= 1e-6 * 2e300
+        else:
+            assert capsys.readouterr().err.startswith("numeric failure: ")
 
 
 def test_nonfinite_input_entry_is_usage_error(tmp_path):
