@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import config
 from .config import DEFAULT_TOLS, Tolerances
 from .jsonio import matrix_to_rows, rows_to_matrix
 from .numkernel import (ClusteredSpectrum, ContourError, NonFiniteError,
@@ -295,25 +296,23 @@ def is_singular(a: Element, tols: Tolerances = DEFAULT_TOLS) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class ProjectionElement:
-    """An idempotent element, to ``tols.projection_idem``; Hermitian-ness is
-    not required."""
+    """An idempotent element, to ``config.PROJECTION_IDEM``, the threshold
+    a contour projector's blocks pass; Hermitian-ness is not required."""
 
     element: Element
-    tols: Tolerances = DEFAULT_TOLS
 
     def __post_init__(self):
         p = self.element
         defect = norm(p * p - p)
-        if defect > self.tols.projection_idem * (1.0 + norm(p)):
+        if defect > config.PROJECTION_IDEM * (1.0 + norm(p)):
             raise ValueError(f"not a projection: ||p^2 - p|| = {defect:.3e}")
 
     def __add__(self, other: "ProjectionElement") -> "ProjectionElement":
         # valid for mutually orthogonal projections; construction re-validates
-        return ProjectionElement(self.element + other.element, self.tols)
+        return ProjectionElement(self.element + other.element)
 
 
-def riesz_values(a: Element, centers, radius: float,
-                 tols: Tolerances = DEFAULT_TOLS) -> list:
+def riesz_values(a: Element, centers, radius: float) -> list:
     """Per-block spectral projectors of ``a`` for the disks of one radius
     around each of ``centers``: per center, its tuple of block projectors,
     or the ``ContourError`` of the first block that rejected it, unraised.
@@ -321,24 +320,15 @@ def riesz_values(a: Element, centers, radius: float,
     checks use the block's cached eigenvalues."""
     if not len(centers):
         return []
-    per_block = [riesz_projection(b, centers, radius, tols, values)
+    per_block = [riesz_projection(b, centers, radius, values)
                  for b, values in zip(a.blocks, a.block_eigs())]
     return [next((p for p in blocks if isinstance(p, ContourError)), blocks)
             for blocks in zip(*per_block)]
 
 
-def riesz_blocks(a: Element, center: complex, radius: float,
-                 tols: Tolerances = DEFAULT_TOLS) -> tuple[np.ndarray, ...]:
-    """Per-block spectral projectors of ``a`` for the disk around ``center``."""
-    return settle(riesz_values(a, [center], radius, tols)[0])
-
-
-def riesz_element(a: Element, center: complex, radius: float,
-                  tols: Tolerances = DEFAULT_TOLS) -> ProjectionElement:
-    """Blockwise spectral projector of ``a`` for the disk around ``center``,
-    checked as a projection under the ``tols`` its blocks passed."""
-    return ProjectionElement(Element(a.shape, riesz_blocks(a, center, radius, tols)),
-                             tols)
+def riesz_element(a: Element, center: complex, radius: float) -> ProjectionElement:
+    """Blockwise spectral projector of ``a`` for the disk around ``center``."""
+    return ProjectionElement(Element(a.shape, settle(riesz_values(a, [center], radius)[0])))
 
 
 @dataclass(frozen=True, eq=False)

@@ -204,10 +204,11 @@ def det_plus_one(a: Element, rng: np.random.Generator,
                  poly: CharPoly | None = None,
                  tols: Tolerances = DEFAULT_TOLS) -> complex:
     """Determinant of ``a + 1`` as ``prod (root + 1)^mult``, kept in product
-    form. Exactly 0 when -1 is a spectral value (within tolerance)."""
+    form. Exactly 0 when -1 is a spectral value: a root within tau of it,
+    and never beyond 0.5, so that the root 0 is not taken for -1."""
     p = poly or char_poly(a, rng, certificate, tols)
-    tau = tau_of(a, tols)
-    if any(abs(root + 1.0) <= tau for root, _ in p.factors):
+    tol = min(tau_of(a, tols), 0.5)
+    if any(abs(root + 1.0) <= tol for root, _ in p.factors):
         return 0.0 + 0.0j
     return _power_product(1.0 + 0.0j, ((root + 1.0, m) for root, m in p.factors),
                           "det(a + 1)")
@@ -232,8 +233,8 @@ def diagonalize_maximal(a: Element, rng: np.random.Generator,
     gap = spectral_gap(a, tols)
     radius = gap / config.RIESZ_RADIUS_DIV
     pairs = []
-    for v, blocks in zip(values, riesz_values(a, values, radius, tols)):
-        proj = ProjectionElement(Element(a.shape, settle(blocks)), tols)
+    for v, blocks in zip(values, riesz_values(a, values, radius)):
+        proj = ProjectionElement(Element(a.shape, settle(blocks)))
         r = rank_oracle(proj.element, tols)
         if r != 1:
             raise DiagonalizationError(
@@ -241,7 +242,7 @@ def diagonalize_maximal(a: Element, rng: np.random.Generator,
                 diagnostics={"value": v, "rank": r})
         pairs.append((v, proj))
 
-    check_tol = tols.projection_idem
+    check_tol = config.PROJECTION_IDEM
     for i, (vi, pi) in enumerate(pairs):
         for j, (vj, pj) in enumerate(pairs):
             prod = pi.element * pj.element

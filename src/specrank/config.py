@@ -1,8 +1,9 @@
 """Centralized numeric tolerances and sampling policy.
 
-Every tolerance-dependent decision in the package goes through a single
-:class:`Tolerances` record so that distinctness of spectral values, rank
-cutoffs, and contour acceptance are controlled by one knob set.
+The thresholds a campaign can set live in one :class:`Tolerances` record:
+distinctness of spectral values, rank cutoffs and the identity checks. Every
+other setting, the Riesz contour's among them, is a module constant here,
+read at call time.
 """
 
 from __future__ import annotations
@@ -23,12 +24,6 @@ class Tolerances:
     cluster_rel: float = 1e-8
     # singular values below rank_rel * max(s_max, 1) count as zero
     rank_rel: float = 1e-8
-    # projection acceptance: ||p^2 - p|| <= projection_idem * (1 + ||p||)
-    projection_idem: float = 1e-8
-    # trace of a spectral projector must sit this close to an integer
-    projection_trace: float = 1e-6
-    # reject contours with an eigenvalue within contour_clearance * radius
-    contour_clearance: float = 0.1
     # normalized annihilation residual accepted in campaigns
     residual: float = 1e-6
     # relative tolerance for determinant/trace identities
@@ -61,6 +56,20 @@ EPS_CAP = 0.05
 # on purpose: counting disks must stay disjoint, contours want clearance.
 COUNT_DISK_DIV = 3.0
 RIESZ_RADIUS_DIV = 2.0
+
+# A contour with an eigenvalue within CONTOUR_CLEARANCE * radius of its
+# circle is rejected before solving.
+CONTOUR_CLEARANCE = 0.1
+# Projection acceptance: ||p^2 - p|| <= PROJECTION_IDEM * (1 + ||p||).
+PROJECTION_IDEM = 1e-8
+# The trace of a spectral projector must sit this close to an integer.
+PROJECTION_TRACE = 1e-6
+# Newton's sign iteration gives up after SIGN_MAX_STEPS steps: a contour
+# whose iterate has not met the step test by then is rejected. The step
+# test: a step moves no entry by more than SIGN_STEP_REL times the largest
+# entry of the new iterate; one more step follows it.
+SIGN_MAX_STEPS = 60
+SIGN_STEP_REL = 1e-4
 
 # Condition-number cap when drawing random similarity transforms.
 SIMILARITY_COND_CAP = 1e6

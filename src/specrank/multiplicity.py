@@ -146,7 +146,7 @@ def multiplicities(a: Element, rng: np.random.Generator,
         collect(config.VOTE_SAMPLES_MAX - config.VOTE_SAMPLES)
 
     # every contour is computed here; each one's error is raised at its value
-    riesz = iter(_riesz_count(a, [c for c in centers if abs(c) > spec.tol], gap, tols)
+    riesz = iter(_riesz_count(a, [c for c in centers if abs(c) > spec.tol], gap)
                  if with_riesz else ())
     records = []
     for center, vote in zip(centers, votes):
@@ -196,15 +196,15 @@ def multiplicity_riesz(a: Element, lam: complex,
     spec, nearest = _spectral_value(a, lam, tols)
     if abs(nearest) <= spec.tol:
         raise SpectrumDomainError("projector route applies to nonzero values only")
-    return settle(_riesz_count(a, [nearest], spectral_gap(a, tols), tols)[0])
+    return settle(_riesz_count(a, [nearest], spectral_gap(a, tols))[0])
 
 
-def _riesz_count(a: Element, values: list, gap: float, tols: Tolerances) -> list:
+def _riesz_count(a: Element, values: list, gap: float) -> list:
     """``multiplicity_riesz`` at each nonzero spectral value in ``values``,
     given the spectral gap of ``a``: per value, the count or the error that
     value raises, unraised."""
     counts = []
-    for blocks in riesz_values(a, values, gap / config.RIESZ_RADIUS_DIV, tols):
+    for blocks in riesz_values(a, values, gap / config.RIESZ_RADIUS_DIV):
         if isinstance(blocks, SpecrankError):
             counts.append(blocks)
             continue
@@ -212,7 +212,7 @@ def _riesz_count(a: Element, values: list, gap: float, tols: Tolerances) -> list
         for p in blocks:
             total += np.trace(p)
         m = round(total.real)
-        counts.append(int(m) if abs(total - m) <= tols.projection_trace else
+        counts.append(int(m) if abs(total - m) <= config.PROJECTION_TRACE else
                       UnstableMultiplicityError(
                           f"summed projector trace {total} is not near an integer"))
     return counts

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
+from . import config
 from .jsonio import complex_to_pair, pair_to_complex
 
 
@@ -280,16 +280,7 @@ def classical_charpoly(m) -> np.ndarray:
     return ((-1.0) ** n) * np.poly(values)
 
 
-# Newton's sign iteration gives up after this many steps: a contour whose
-# iterate has not met the step test by then is rejected
-SIGN_MAX_STEPS = 60
-# the step test: a step moves no entry by more than this times the largest
-# entry of the new iterate; one more step follows it
-SIGN_STEP_REL = 1e-4
-
-
-def riesz_projection(m, center, radius: float, tols: Tolerances = DEFAULT_TOLS,
-                     values=None):
+def riesz_projection(m, center, radius: float, values=None):
     """Spectral projector of ``m`` for the disk ``|z - center| < radius``.
 
     With ``B = m - center`` and ``r = radius``, the transform ``T = (B -
@@ -297,18 +288,19 @@ def riesz_projection(m, center, radius: float, tols: Tolerances = DEFAULT_TOLS,
     is ``(1 - sign(T)) / 2``. ``T`` takes one solve; Newton's iteration ``X
     <- (X + X^-1) / 2`` from ``X = T`` reaches ``sign(T)`` in a few
     inverses (Higham, *Functions of Matrices*, ch. 5), and needs no
-    eigenvectors. An iterate stops once a step meets the ``SIGN_STEP_REL``
-    test, after one more step; one that has not met it in
-    ``SIGN_MAX_STEPS`` steps is rejected.
+    eigenvectors. An iterate stops once a step meets the
+    ``config.SIGN_STEP_REL`` test, after one more step; one that has not met
+    it in ``config.SIGN_MAX_STEPS`` steps is rejected.
 
-    A contour with an eigenvalue within ``tols.contour_clearance * radius``
+    A contour with an eigenvalue within ``config.CONTOUR_CLEARANCE * radius``
     of the circle is rejected before solving; this also keeps the spectrum
     of ``T`` off the imaginary axis. The result must be finite, satisfy
-    ``||p^2 - p|| <= tols.projection_idem * (1 + ||p||)`` and have trace
-    within ``tols.projection_trace`` of an integer (the enclosed algebraic
+    ``||p^2 - p|| <= config.PROJECTION_IDEM * (1 + ||p||)`` and have trace
+    within ``config.PROJECTION_TRACE`` of an integer (the enclosed algebraic
     multiplicity); otherwise the contour is rejected as too close to the
-    spectrum. ``values`` are the eigenvalues of ``m`` for the clearance
-    check when the caller already has them; they are computed otherwise.
+    spectrum. Each setting is read when the call is made. ``values`` are the
+    eigenvalues of ``m`` for the clearance check when the caller already has
+    them; they are computed otherwise.
 
     ``center`` may be a sequence of ``k`` centers. Their contours are then
     one ``(k, n, n)`` stack: LAPACK and the elementwise steps treat each
@@ -325,8 +317,7 @@ def riesz_projection(m, center, radius: float, tols: Tolerances = DEFAULT_TOLS,
     one = np.ndim(center) == 0
     # overflow is detected and rejected per contour, so it does not warn
     with np.errstate(over="ignore", invalid="ignore"):
-        outcomes = _riesz_stack(a, [center] if one else list(center), radius, tols,
-                                values)
+        outcomes = _riesz_stack(a, [center] if one else list(center), radius, values)
     return settle(outcomes[0]) if one else outcomes
 
 
@@ -337,50 +328,36 @@ def settle(outcome):
     return outcome
 
 
-def _riesz_stack(a, centers, radius, tols, values) -> list:
-    clearance = tols.contour_clearance
+def _riesz_stack(a, centers, radius, values) -> list:
+    clearance = config.CONTOUR_CLEARANCE
     outcomes: list = [None] * len(centers)
+    live = list(range(len(centers)))
     shifts = np.array(centers, dtype=np.complex128)
     if values.size and centers:
         dist_to_circle = np.abs(np.abs(values - shifts[:, None]) - radius).min(axis=1)
-        for i in np.flatnonzero(dist_to_circle < clearance * radius).tolist():
-            outcomes[i] = ContourError(
-                "contour too close to spectrum: eigenvalue within "
-                f"{clearance:g}*radius of the circle")
-    live = [i for i, o in enumerate(outcomes) if o is None]
+        near = (dist_to_circle < clearance * radius).tolist()
+        live, shifts = _rejected(outcomes, live, near, "contour too close to spectrum: "
+                                 f"eigenvalue within {clearance:g}*radius of the circle",
+                                 shifts)
     if not live:
         return outcomes
 
-    def kept(flags, msg) -> list[int]:
-        """Reject the live contours flagged; the positions of the rest."""
-        nonlocal live
-        for i, flag in zip(live, flags):
-            if flag:
-                outcomes[i] = ContourError(msg)
-        keep = [j for j, flag in enumerate(flags) if not flag]
-        live = [live[j] for j in keep]
-        return keep
-
     eye = np.eye(a.shape[0], dtype=np.complex128)
-    shift = a - shifts[live, None, None] * eye
+    shift = a - shifts[:, None, None] * eye
     lower, upper = shift - radius * eye, shift + radius * eye
-    if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
-        finite = np.isfinite(lower).all(axis=(1, 2)) & np.isfinite(upper).all(axis=(1, 2))
-        keep = kept((~finite).tolist(),
-                    "contour transform overflowed to a non-finite value")
-        lower, upper = lower[keep], upper[keep]
+    finite = np.isfinite(lower).all(axis=(1, 2)) & np.isfinite(upper).all(axis=(1, 2))
+    live, lower, upper = _rejected(outcomes, live, (~finite).tolist(),
+                                   "contour transform overflowed to a non-finite value",
+                                   lower, upper)
     # T = (B - r)^-1 (B + r) for B = a - center; its pole, center +
     # radius, is a point of the circle
     x, singular = _each_matrix(np.linalg.solve, lower, upper)
-    if any(singular):
-        x = x[kept(singular, "contour node on the spectrum: center + radius "
-                   "is an eigenvalue")]
+    live, x = _rejected(outcomes, live, singular, "contour node on the spectrum: "
+                        "center + radius is an eigenvalue", x)
 
-    signs = np.empty_like(x)
-    rows = list(range(len(live)))  # each live contour's row in signs
-    finished: list[tuple[int, int]] = []  # (contour, row)
+    max_steps, step_rel = config.SIGN_MAX_STEPS, config.SIGN_STEP_REL
     last = [False] * len(live)  # met the step test: one more step
-    for _ in range(SIGN_MAX_STEPS):
+    for _ in range(max_steps):
         if not live:
             break
         inverse, singular = _each_matrix(np.linalg.inv, x)
@@ -396,24 +373,34 @@ def _riesz_stack(a, centers, radius, tols, values) -> list:
                 outcomes[i] = ContourError(
                     "contour projector overflowed to a non-finite value")
             elif last[j]:
-                signs[rows[j]] = step[j]
-                finished.append((i, rows[j]))
+                outcomes[i] = step[j]  # the sign of T
             else:
                 keep.append(j)
-                last[j] = moved[j] <= SIGN_STEP_REL * largest[j]
+                last[j] = moved[j] <= step_rel * largest[j]
         if len(keep) < len(live):
-            live, rows = [live[j] for j in keep], [rows[j] for j in keep]
+            live = [live[j] for j in keep]
             step, last = step[keep], [last[j] for j in keep]
         x = step
     for i in live:
-        outcomes[i] = ContourError(
-            f"sign iteration did not converge in {SIGN_MAX_STEPS} steps")
-    if finished:
-        done = [row for _, row in finished]
-        checked = _checked_projectors((eye - signs[done]) * 0.5, tols)
-        for (i, _), outcome in zip(finished, checked):
+        outcomes[i] = ContourError(f"sign iteration did not converge in {max_steps} steps")
+    done = [i for i, o in enumerate(outcomes) if isinstance(o, np.ndarray)]
+    if done:
+        signs = np.array([outcomes[i] for i in done])
+        for i, outcome in zip(done, _checked_projectors((eye - signs) * 0.5)):
             outcomes[i] = outcome
     return outcomes
+
+
+def _rejected(outcomes: list, live: list, flags: list, msg: str, *stacks) -> tuple:
+    """Reject the ``live`` contours flagged with ``ContourError(msg)``: the
+    rest of ``live`` and their rows of each of ``stacks``."""
+    if not any(flags):
+        return (live, *stacks)
+    keep = [j for j, flag in enumerate(flags) if not flag]
+    for i, flag in zip(live, flags):
+        if flag:
+            outcomes[i] = ContourError(msg)
+    return ([live[j] for j in keep], *(stack[keep] for stack in stacks))
 
 
 def _each_matrix(solver, *stacks) -> tuple[np.ndarray, list[bool]]:
@@ -433,7 +420,7 @@ def _each_matrix(solver, *stacks) -> tuple[np.ndarray, list[bool]]:
         return out, singular
 
 
-def _checked_projectors(p: np.ndarray, tols: Tolerances) -> list:
+def _checked_projectors(p: np.ndarray) -> list:
     """Per finite projector of the stack ``p``: itself, or the
     ``ContourError`` of the first check it fails, idempotency then a trace
     near an integer. A norm whose plain sum of squares overflows is taken
@@ -446,11 +433,11 @@ def _checked_projectors(p: np.ndarray, tols: Tolerances) -> list:
     for pj, dj, (defect, size, tr) in zip(p, defects, norms):
         defect = defect if defect < math.inf else frobenius(dj)
         size = size if size < math.inf else frobenius(pj)
-        if defect > tols.projection_idem * (1.0 + size):
+        if defect > config.PROJECTION_IDEM * (1.0 + size):
             checked.append(ContourError(
                 f"contour too close to spectrum: ||p^2 - p|| = {defect:.3e}",
                 defect=defect))
-        elif abs(tr - round(tr.real)) > tols.projection_trace:
+        elif abs(tr - round(tr.real)) > config.PROJECTION_TRACE:
             checked.append(ContourError(
                 f"projector trace {tr} is not near an integer", defect=defect))
         else:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import config
 from .algebra import (FINITE, INFINITE_SOCLE, AlgebraShape, Element,
                       ProjectionElement, compressed_view, count_nonzero_spectrum,
                       nonzero_spectrum, norm, random_element,
@@ -312,7 +313,7 @@ def _projection_from_maximal(shape: AlgebraShape, rng: np.random.Generator,
     for keep, (_, proj) in zip(mask, pairs):
         if keep:
             total = total + proj.element
-    return ProjectionElement(total, tols)
+    return ProjectionElement(total)
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +545,7 @@ def _check_diagonalization(rng, spec: PropertySpec) -> TrialResult:
     residual = norm(a - recon) / (1.0 + norm(a))
     records = multiplicities(a, rng, with_riesz=False, tols=spec.tols)
     ok = (all(rec.m_counting == 1 for rec in records)
-          and residual <= spec.tols.projection_idem)
+          and residual <= config.PROJECTION_IDEM)
     return _verdict(ok, residual, {"a": a}, {
         "reconstruction_residual": residual,
         "multiplicities": [rec.m_counting for rec in records]})

@@ -322,7 +322,7 @@ class TestSpectrumCache:
             spectral_gap(a, tols)
             assert multiplicity_riesz(a, 1.0, tols=tols) == 1
             assert multiplicity_riesz(a, 3.0, tols=tols) == 1
-            riesz_element(a, 3.0, 1.0, tols=tols)
+            riesz_element(a, 3.0, 1.0)
         assert len(calls) == len(a.blocks)
 
     def test_spectrum_cached_per_tolerances(self):

@@ -7,6 +7,7 @@ import pytest
 import specrank.cli as cli
 from specrank.algebra import Element, INFINITE_SOCLE, ViewError
 from specrank.charpoly import DiagonalizationError
+from specrank.config import DEFAULT_TOLS
 from specrank.cli import main
 from specrank.rank import IllConditionedError
 from specrank.propsuite import PROPERTY_NAMES
@@ -57,13 +58,13 @@ JORDAN_3_ROWS = [
 ]
 
 
-def write_element_file(path, diag_values):
+def write_element_file(path, diag_values, ambient="finite"):
     n = len(diag_values)
     blocks = [[[[0.0, 0.0] for _ in range(n)] for _ in range(n)]]
     for i in range(n):
         blocks[0][i][i] = [float(diag_values[i]), 0.0]
     path.write_text(json.dumps(
-        {"dims": [n], "ambient": "finite", "blocks": blocks}))
+        {"dims": [n], "ambient": ambient, "blocks": blocks}))
     return path
 
 
@@ -119,6 +120,24 @@ class TestCheck:
         assert report["cayley_hamilton_residual"] <= 1e-10
         assert report["trace"] == [1.0, 0.0]
         assert report["det_plus_one"] == [2.0, 0.0]
+
+    # at spectral radius 1e8 and beyond, tau is 1 or more, so the root 0 sits
+    # within tau of -1; it must not be taken for -1
+    @pytest.mark.parametrize("diag_values, ambient, expected", [
+        ([1e8, 2.0], "infinite", 3e8 + 3),
+        ([1e8, 0.0], "finite", 1e8 + 1),
+        ([2e8, 0.0], "finite", 2e8 + 1),
+        ([3.0, -1.0], "finite", 0.0),
+    ])
+    def test_det_plus_one_near_minus_one(self, tmp_path, diag_values, ambient, expected):
+        element_file = write_element_file(tmp_path / "a.json", diag_values, ambient)
+        out = tmp_path / "report.json"
+        assert main(["check", str(element_file), "--out", str(out)]) == 0
+        got = complex(*json.loads(out.read_text())["det_plus_one"])
+        if expected == 0.0:
+            assert got == 0.0
+        else:
+            assert abs(got - expected) <= DEFAULT_TOLS.identity_rel * expected
 
     def test_nilpotent_report(self, tmp_path):
         data = {"dims": [2], "ambient": "finite",

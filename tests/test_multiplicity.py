@@ -5,7 +5,6 @@ import pytest
 
 from specrank.algebra import (AlgebraShape, Element, INFINITE_SOCLE,
                               random_socle_element, spectrum)
-from specrank.config import DEFAULT_TOLS
 from specrank.multiplicity import (SpectrumDomainError, _riesz_count,
                                    multiplicities, multiplicity,
                                    multiplicity_oracle, multiplicity_riesz,
@@ -222,5 +221,5 @@ def test_block_failures_raised_value_by_value():
                 errors.append(f"{type(exc).__name__}: {exc}")
         first_errors.append(errors[0])
     assert "overflowed" in first_errors[0] and "too close" in first_errors[1]
-    counts = _riesz_count(a, centers, 2.0, DEFAULT_TOLS)
+    counts = _riesz_count(a, centers, 2.0)
     assert [f"{type(c).__name__}: {c}" for c in counts] == first_errors

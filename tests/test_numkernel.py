@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specrank import numkernel
+from specrank import config
 from specrank.numkernel import (ClusteredSpectrum, ContourError,
                                 ConvergenceError, as_matrix, classical_charpoly, cluster, eig, frobenius,
                                 hausdorff, mat_rank, riesz_projection)
@@ -221,8 +221,31 @@ class TestRieszProjection:
                 continue
             assert alone.tobytes() == outcome.tobytes()
 
+    def test_every_rejection_in_one_stack(self, monkeypatch):
+        # with the step cap at 8, the contours around 0, 3 and 6 stop after 6
+        # steps, and the one around 3 + 0.88j, with 3 near its circle, needs 9
+        monkeypatch.setattr(config, "SIGN_MAX_STEPS", 8)
+        m = np.diag([1e308, 0.0, 6.0, 3.0])
+        # 0 is left out of the clearance check, so the circles through it are
+        # solved: at -1 + 1 the transform is singular, at 1 - 1 its inverse
+        values = np.array([1e308, 6.0, 3.0])
+        rejected = {5.0: "too close to spectrum", -8e307: "transform overflowed",
+                    -1.0: "node on the spectrum", 1.0: "reached a singular matrix",
+                    3.0 + 0.88j: "did not converge in 8 steps"}
+        centers = [6.0, 5.0, -8e307, 0.0, -1.0, 1.0, 3.0 + 0.88j, 3.0]
+        stacked = riesz_projection(m, centers, 1.0, values=values)
+        for center, outcome in zip(centers, stacked):
+            if center not in rejected:
+                alone = riesz_projection(m, center, 1.0, values=values)
+                assert alone.tobytes() == outcome.tobytes()
+                continue
+            assert type(outcome) is ContourError and rejected[center] in str(outcome)
+            with pytest.raises(ContourError) as alone:
+                riesz_projection(m, center, 1.0, values=values)
+            assert str(alone.value) == str(outcome)
+
     def test_step_cap_is_contour_error(self, monkeypatch):
-        monkeypatch.setattr(numkernel, "SIGN_MAX_STEPS", 1)
+        monkeypatch.setattr(config, "SIGN_MAX_STEPS", 1)
         with pytest.raises(ContourError, match="did not converge in 1 steps"):
             riesz_projection(np.diag([1.0, 0.0, 0.0]), center=1.0, radius=0.5)
         assert isinstance(riesz_projection(np.eye(2), [1.0, 2.0], 0.5)[0], ContourError)
