@@ -25,8 +25,7 @@ from .jsonio import complex_to_pair, pair_to_complex
 from .multiplicity import (MultiplicityRecord, UnstableMultiplicityError,
                            multiplicities, spectral_gap)
 from .numkernel import NonFiniteError, SpecrankError, settle
-from .rank import (RankCertificate, is_maximal, rank_oracle, require_certified,
-                   spectral_rank)
+from .rank import RankCertificate, is_maximal, rank_oracle, spectral_rank
 
 
 class DiagonalizationError(SpecrankError):
@@ -83,14 +82,12 @@ class CharPoly:
         return CharPoly(factors=factors, source_rank=int(data["source_rank"]))
 
 
-def char_poly(a: Element, rng: np.random.Generator,
-              certificate: RankCertificate | None = None,
+def char_poly(a: Element, rng: np.random.Generator, certificate: RankCertificate,
               tols: Tolerances = DEFAULT_TOLS) -> CharPoly:
-    """One factor per distinct spectral value, multiplicities by counting."""
-    cert = certificate or spectral_rank(a, rng=rng, tols=tols)
-    require_certified(cert)
-    records = multiplicities(a, rng, cert, with_riesz=False, tols=tols)
-    return char_poly_from_records(records, cert.rank)
+    """One factor per distinct spectral value, multiplicities counted under
+    ``a``'s rank ``certificate`` from ``spectral_rank``."""
+    records = multiplicities(a, rng, certificate, with_riesz=False, tols=tols)
+    return char_poly_from_records(records, certificate.rank)
 
 
 def char_poly_from_records(records: list[MultiplicityRecord],
@@ -181,32 +178,23 @@ def residual_scale(p: CharPoly, element_norm: float) -> float:
     return max(scale, 1.0)
 
 
-def cayley_hamilton_residual(a: Element, rng: np.random.Generator,
-                             certificate: RankCertificate | None = None,
-                             poly: CharPoly | None = None,
-                             tols: Tolerances = DEFAULT_TOLS) -> float:
-    """Normalized annihilation residual ``|p_a(a)| / scale``."""
-    p = poly or char_poly(a, rng, certificate, tols)
+def cayley_hamilton_residual(a: Element, p: CharPoly) -> float:
+    """Normalized annihilation residual ``|p(a)| / scale``, ``p`` ``a``'s polynomial."""
     value = eval_element(p, a)
     return norm(value) / residual_scale(p, norm(a))
 
 
-def trace(a: Element, rng: np.random.Generator,
-          certificate: RankCertificate | None = None,
-          tols: Tolerances = DEFAULT_TOLS) -> complex:
-    """Sum of distinct spectral values weighted by multiplicity."""
-    p = char_poly(a, rng, certificate, tols)
+def trace(p: CharPoly) -> complex:
+    """Sum of the roots of ``p`` weighted by multiplicity: its element's trace."""
     return weighted_sum(p.factors)
 
 
-def det_plus_one(a: Element, rng: np.random.Generator,
-                 certificate: RankCertificate | None = None,
-                 poly: CharPoly | None = None,
+def det_plus_one(a: Element, p: CharPoly,
                  tols: Tolerances = DEFAULT_TOLS) -> complex:
-    """Determinant of ``a + 1`` as ``prod (root + 1)^mult``, kept in product
-    form. Exactly 0 when -1 is a spectral value: a root within tau of it,
-    and never beyond 0.5, so that the root 0 is not taken for -1."""
-    p = poly or char_poly(a, rng, certificate, tols)
+    """Determinant of ``a + 1`` as ``prod (root + 1)^mult`` over ``a``'s
+    polynomial ``p``, kept in product form. Exactly 0 when -1 is a spectral
+    value: a root within tau of it, and never beyond 0.5, so that the root 0
+    is not taken for -1."""
     tol = min(tau_of(a, tols), 0.5)
     if any(abs(root + 1.0) <= tol for root, _ in p.factors):
         return 0.0 + 0.0j
@@ -214,19 +202,17 @@ def det_plus_one(a: Element, rng: np.random.Generator,
                           "det(a + 1)")
 
 
-def diagonalize_maximal(a: Element, rng: np.random.Generator,
-                        certificate: RankCertificate | None = None,
+def diagonalize_maximal(a: Element, certificate: RankCertificate,
                         tols: Tolerances = DEFAULT_TOLS) -> list[tuple[complex, ProjectionElement]]:
     """Resolve a rank-assuming element into eigenvalue/projection pairs.
 
-    Each distinct nonzero spectral value gets its blockwise contour
-    projector; the projectors must be rank one and mutually annihilating,
-    and must reconstruct the element as ``sum value_i * p_i``.
+    ``certificate`` is ``a``'s rank. Each distinct nonzero spectral value
+    gets its blockwise contour projector; the projectors must be rank one and
+    mutually annihilating, and must reconstruct ``a`` as ``sum value_i * p_i``.
     """
-    cert = certificate or spectral_rank(a, rng=rng, tols=tols)
     if norm(a) == 0.0:
         raise DiagonalizationError("the zero element has no spectral resolution")
-    if not is_maximal(a, certificate=cert, tols=tols):
+    if not is_maximal(a, certificate, tols):
         raise DiagonalizationError("element does not assume its rank at the identity")
 
     values = nonzero_spectrum(a, tols).values()
@@ -302,11 +288,12 @@ class ConvergenceRecord:
 
 def approximation_sequence(a: Element, steps: int, lambda0: complex,
                            rng: np.random.Generator,
-                           certificate: RankCertificate | None = None,
+                           certificate: RankCertificate,
                            tols: Tolerances = DEFAULT_TOLS) -> ConvergenceRecord:
     """Walk witnesses ``x_m = 1 + 2^-m G_m`` toward the identity.
 
-    Each accepted ``x_m`` preserves both the certified rank and the classical
+    ``certificate`` is ``a``'s rank, under which the reference polynomial is
+    built. Each accepted ``x_m`` preserves both that rank and the classical
     rank of the product, which makes ``x_m * a`` assume its rank at the
     identity; its polynomial is then cheap to build. The perturbation
     direction is rescaled from the previous accepted step and redrawn only
@@ -316,9 +303,7 @@ def approximation_sequence(a: Element, steps: int, lambda0: complex,
     """
     if steps < 3:
         raise ValueError("need at least 3 steps")
-    cert = certificate or spectral_rank(a, rng=rng, tols=tols)
-    require_certified(cert)
-    p_ref = char_poly(a, rng, cert, tols)
+    p_ref = char_poly(a, rng, certificate, tols)
     ref_val = eval_scalar(p_ref, lambda0)
     one = identity(a.shape)
 
@@ -334,8 +319,8 @@ def approximation_sequence(a: Element, steps: int, lambda0: complex,
                 else random_element(a.shape, rng)
             x = one + scale * g
             xa = x * a
-            if (rank_oracle(xa, tols) == cert.oracle_rank
-                    and len(nonzero_spectrum(xa, tols).points) == cert.rank):
+            if (rank_oracle(xa, tols) == certificate.oracle_rank
+                    and len(nonzero_spectrum(xa, tols).points) == certificate.rank):
                 accepted = xa
                 direction = g
                 break
@@ -344,7 +329,7 @@ def approximation_sequence(a: Element, steps: int, lambda0: complex,
             break
         q = char_poly_maximal(accepted, tols)
         dev = abs(eval_scalar(q, lambda0) - ref_val)
-        res = cayley_hamilton_residual(accepted, rng, poly=q, tols=tols)
+        res = cayley_hamilton_residual(accepted, q)
         out.append(ApproximationStep(step=m, witness_scale=scale,
                                      deviation=dev, residual=res, tries=tries))
     return ConvergenceRecord(lambda0=complex(lambda0), reference=ref_val,
@@ -370,7 +355,8 @@ def naive_det_demo(rng: np.random.Generator | None = None,
 
     def counts(e: Element) -> list[tuple[complex, int]]:
         return [(rec.value, rec.m_counting)
-                for rec in multiplicities(e, rng, with_riesz=False, tols=tols)]
+                for rec in multiplicities(e, rng, spectral_rank(e, rng=rng, tols=tols),
+                                          with_riesz=False, tols=tols)]
 
     def naive_det(e: Element, lam: complex) -> complex:
         acc = 1.0 + 0.0j

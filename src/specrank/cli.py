@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 property failure, 2 usage or config error,
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import json
 import sys
@@ -79,8 +80,10 @@ class Config:
                 raise UsageError("trial counts must be nonnegative integers")
         for label, value in (("tol-cluster", self.tol_cluster),
                              ("tol-residual", self.tol_residual)):
-            if value is not None and (type(value) not in (int, float) or not value > 0):
-                raise UsageError(f"--{label} must be a positive number, got {value!r}")
+            if value is not None and (type(value) not in (int, float)
+                                      or not 0 < value <= sys.float_info.max):
+                raise UsageError(f"--{label} must be a finite positive number, "
+                                 f"got {value!r}")
 
     def tolerances(self) -> Tolerances:
         overrides = {}
@@ -162,9 +165,12 @@ def _parse_ints(text: str, what: str, least: int) -> tuple[int, ...]:
 
 def _parse_complex_list(text: str) -> list[complex]:
     try:
-        return [complex(part.replace(" ", "")) for part in text.split(",")]
+        values = [complex(part.replace(" ", "")) for part in text.split(",")]
     except ValueError as exc:
         raise UsageError(f"cannot parse complex list {text!r}") from exc
+    if not all(cmath.isfinite(v) for v in values):
+        raise UsageError(f"complex list {text!r} must hold finite values")
+    return values
 
 
 def _write_output(payload: str, out: str | None):
@@ -223,9 +229,9 @@ def _analyze(element: Element, rng: np.random.Generator, tols: Tolerances) -> di
     # raises UncertifiedRankError unless the rank is certified
     records = multiplicities(element, rng, cert, with_riesz=True, tols=tols)
     poly = char_poly_from_records(records, cert.rank)
-    residual = cayley_hamilton_residual(element, rng, cert, poly, tols)
+    residual = cayley_hamilton_residual(element, poly)
     tr = weighted_sum((r.value, r.m_counting) for r in records)
-    det1 = det_plus_one(element, rng, cert, poly, tols)
+    det1 = det_plus_one(element, poly, tols)
     return {
         "rank": cert.to_json(),
         "spectrum": spec.to_json(),
@@ -281,7 +287,7 @@ def _poly_summary(poly) -> dict:
 def _demo_m3(rng, tols) -> dict:
     shape = AlgebraShape(dims=(3,), ambient=FINITE)
     a = Element(shape, (np.diag([1.0, 0.0, 0.0]),))
-    poly = char_poly(a, rng, tols=tols)
+    poly = char_poly(a, rng, spectral_rank(a, rng=rng, tols=tols), tols)
     classical = classical_charpoly(a.blocks[0])
     return {
         "element": "diag(1, 0, 0) in the 3x3 matrix block",
@@ -298,7 +304,7 @@ def _demo_m3(rng, tols) -> dict:
 def _demo_zero(rng, tols) -> dict:
     shape = AlgebraShape(dims=(3,), ambient=FINITE)
     a = zero(shape)
-    poly = char_poly(a, rng, tols=tols)
+    poly = char_poly(a, rng, spectral_rank(a, rng=rng, tols=tols), tols)
     value = eval_element(poly, a)
     return {
         "element": "0 in the 3x3 matrix block",
@@ -313,7 +319,7 @@ def _demo_ch_walkthrough(rng, tols) -> dict:
     a = Element(shape, (np.array([[0.0, 1.0], [0.0, 0.0]]),))
     cert = spectral_rank(a, rng=rng, tols=tols)
     poly = char_poly(a, rng, cert, tols)
-    residual = cayley_hamilton_residual(a, rng, cert, poly, tols)
+    residual = cayley_hamilton_residual(a, poly)
     record = approximation_sequence(a, 6, 3.0 + 0.0j, rng, cert, tols)
     return {
         "element": "nilpotent [[0,1],[0,0]] in the 2x2 matrix block",

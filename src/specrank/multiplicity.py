@@ -24,7 +24,7 @@ from .algebra import (Element, norm, random_block_stacks, riesz_values,
 from .config import DEFAULT_TOLS, Tolerances
 from .jsonio import complex_to_pair
 from .numkernel import SpecrankError, settle
-from .rank import RankCertificate, rank_oracle, require_certified, spectral_rank
+from .rank import RankCertificate, rank_oracle, require_certified
 
 
 class SpectrumDomainError(SpecrankError):
@@ -88,10 +88,11 @@ def default_disk_radius(a: Element) -> float:
 
 
 def multiplicities(a: Element, rng: np.random.Generator,
-                   certificate: RankCertificate | None = None,
-                   with_riesz: bool = True,
+                   certificate: RankCertificate, with_riesz: bool,
                    tols: Tolerances = DEFAULT_TOLS) -> list[MultiplicityRecord]:
-    """Multiplicity records for every distinct spectral value of ``a``.
+    """Multiplicity records for every distinct spectral value of ``a``, under
+    its rank ``certificate`` from ``spectral_rank``; ``with_riesz`` adds the
+    contour count ``m_riesz`` at every nonzero value.
 
     All disks are counted from the same accepted samples: each sample costs
     one spectrum computation and votes on every value at once. A witness
@@ -104,10 +105,10 @@ def multiplicities(a: Element, rng: np.random.Generator,
     Witnesses are drawn in rounds of as many as accepted samples are still
     missing (never more than the rejections left before giving up), each
     round one ``random_block_stacks`` draw decomposed together by
-    ``witness_spectra``; they never become elements.
+    ``witness_spectra``; they never become elements. No round overshoots, so
+    the unanimity test sees exactly the first five.
     """
-    cert = certificate or spectral_rank(a, rng=rng, tols=tols)
-    require_certified(cert)
+    require_certified(certificate)
 
     spec = spectrum(a, tols)
     centers = spec.values()
@@ -119,31 +120,27 @@ def multiplicities(a: Element, rng: np.random.Generator,
     votes: list[list[int]] = [[] for _ in centers]
     one = [np.eye(d, dtype=np.complex128) for d in a.shape.dims]
     scale = complex(eps)
-    rejected = 0
-
-    def collect(wanted: int):
-        nonlocal rejected
-        while wanted:
-            size = min(wanted, config.CONDITION_RETRIES - rejected)
-            stacks = tuple(e + scale * g for e, g in
-                           zip(one, random_block_stacks(a.shape, rng, size)))
-            for xa_spec in witness_spectra(a, stacks, tols):
-                if len(xa_spec.nonzero().points) != cert.rank:
-                    rejected += 1
-                    if rejected == config.CONDITION_RETRIES:
-                        raise UnstableMultiplicityError(
-                            "no rank-preserving witness found in "
-                            f"{config.CONDITION_RETRIES} draws")
-                    continue
-                rejected = 0
-                wanted -= 1
-                points = xa_spec.values()
-                for i, c in enumerate(centers):
-                    votes[i].append(sum(1 for p in points if abs(p - c) <= radius))
-
-    collect(config.VOTE_SAMPLES)
-    if not all(len(set(v)) == 1 for v in votes):
-        collect(config.VOTE_SAMPLES_MAX - config.VOTE_SAMPLES)
+    accepted = rejected = 0
+    target = config.VOTE_SAMPLES
+    while accepted < target:
+        size = min(target - accepted, config.CONDITION_RETRIES - rejected)
+        stacks = tuple(e + scale * g for e, g in
+                       zip(one, random_block_stacks(a.shape, rng, size)))
+        for xa_spec in witness_spectra(a, stacks, tols):
+            if len(xa_spec.nonzero().points) != certificate.rank:
+                rejected += 1
+                if rejected == config.CONDITION_RETRIES:
+                    raise UnstableMultiplicityError(
+                        "no rank-preserving witness found in "
+                        f"{config.CONDITION_RETRIES} draws")
+                continue
+            rejected = 0
+            accepted += 1
+            points = xa_spec.values()
+            for i, c in enumerate(centers):
+                votes[i].append(sum(1 for p in points if abs(p - c) <= radius))
+        if accepted == config.VOTE_SAMPLES and any(len(set(v)) > 1 for v in votes):
+            target = config.VOTE_SAMPLES_MAX
 
     # every contour is computed here; each one's error is raised at its value
     riesz = iter(_riesz_count(a, [c for c in centers if abs(c) > spec.tol], gap)
@@ -178,8 +175,7 @@ def _spectral_value(a: Element, lam: complex, tols: Tolerances):
 
 
 def multiplicity(a: Element, lam: complex, rng: np.random.Generator,
-                 certificate: RankCertificate | None = None,
-                 with_riesz: bool = True,
+                 certificate: RankCertificate, with_riesz: bool,
                  tols: Tolerances = DEFAULT_TOLS) -> MultiplicityRecord:
     """Multiplicity of ``a`` at the spectral value nearest ``lam``."""
     _, nearest = _spectral_value(a, lam, tols)

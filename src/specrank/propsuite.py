@@ -305,7 +305,7 @@ def _projection_from_maximal(shape: AlgebraShape, rng: np.random.Generator,
     m = _random_maximal_constructed(shape, rng, tols)
     if m is None:
         return None
-    pairs = diagonalize_maximal(m, rng, tols=tols)
+    pairs = diagonalize_maximal(m, spectral_rank(m, rng=rng, tols=tols), tols)
     mask = rng.random(len(pairs)) < 0.6
     if not mask.any():
         mask[int(rng.integers(len(pairs)))] = True
@@ -435,7 +435,7 @@ def _check_classical_charpoly_match(rng, spec: PropertySpec) -> TrialResult:
         a = make_maximal(shape, values, rng, assignment=assignment, tols=spec.tols)
     except IndistinctValuesError:
         return _EXHAUSTED
-    p = char_poly(a, rng, tols=spec.tols)
+    p = char_poly(a, rng, spectral_rank(a, rng=rng, tols=spec.tols), spec.tols)
     product = np.array([1.0 + 0.0j])
     for block in a.blocks:
         product = np.polymul(product, classical_charpoly(block))
@@ -452,19 +452,25 @@ def _check_classical_charpoly_match(rng, spec: PropertySpec) -> TrialResult:
 def _check_cayley_hamilton(rng, spec: PropertySpec) -> TrialResult:
     shape = random_shape(spec.policy, rng)
     a = random_socle_element(shape, _random_ranks(shape, rng), rng)
-    residual = cayley_hamilton_residual(a, rng, tols=spec.tols)
+    p = char_poly(a, rng, spectral_rank(a, rng=rng, tols=spec.tols), spec.tols)
+    residual = cayley_hamilton_residual(a, p)
     return _verdict(residual <= spec.tols.residual, residual, {"a": a},
                     {"residual": residual})
 
 
 def _det_identity(rng, spec: PropertySpec, sides) -> TrialResult:
     """A ``det(. + 1)`` identity on two random socle elements. ``sides(a, b,
-    det)`` returns its two sides; ``det`` draws from ``rng``, so the order of
-    its calls is part of the trial."""
+    det)`` returns its two sides; ``det`` certifies and factors its argument,
+    drawing from ``rng``, so the order of its calls is part of the trial."""
     shape = random_shape(spec.policy, rng)
     a = random_socle_element(shape, _random_ranks(shape, rng), rng)
     b = random_socle_element(shape, _random_ranks(shape, rng), rng)
-    lhs, rhs = sides(a, b, lambda x: det_plus_one(x, rng, tols=spec.tols))
+
+    def det(x: Element) -> complex:
+        cert = spectral_rank(x, rng=rng, tols=spec.tols)
+        return det_plus_one(x, char_poly(x, rng, cert, spec.tols), spec.tols)
+
+    lhs, rhs = sides(a, b, det)
     residual = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
     return _verdict(residual <= spec.tols.identity_rel, residual, {"a": a, "b": b}, {
         "lhs": [lhs.real, lhs.imag], "rhs": [rhs.real, rhs.imag],
@@ -487,7 +493,8 @@ def _check_charpoly_continuity(rng, spec: PropertySpec) -> TrialResult:
     if a is None:
         return _EXHAUSTED
     lambda0 = complex((2.0 + rng.random()) * np.exp(2j * np.pi * rng.random()))
-    record = approximation_sequence(a, 6, lambda0, rng, tols=spec.tols)
+    cert = spectral_rank(a, rng=rng, tols=spec.tols)
+    record = approximation_sequence(a, 6, lambda0, rng, cert, spec.tols)
     if not record.completed or len(record.steps) < 6:
         return _verdict(False, float("inf"), {"a": a},
                         {"record": record.to_json(), "reason": "aborted"})
@@ -538,12 +545,13 @@ def _check_diagonalization(rng, spec: PropertySpec) -> TrialResult:
     a = _random_maximal_constructed(shape, rng, spec.tols)
     if a is None:
         return _EXHAUSTED
-    pairs = diagonalize_maximal(a, rng, tols=spec.tols)
+    pairs = diagonalize_maximal(a, spectral_rank(a, rng=rng, tols=spec.tols), spec.tols)
     recon = zero(shape)
     for value, proj in pairs:
         recon = recon + value * proj.element
     residual = norm(a - recon) / (1.0 + norm(a))
-    records = multiplicities(a, rng, with_riesz=False, tols=spec.tols)
+    records = multiplicities(a, rng, spectral_rank(a, rng=rng, tols=spec.tols),
+                             with_riesz=False, tols=spec.tols)
     ok = (all(rec.m_counting == 1 for rec in records)
           and residual <= config.PROJECTION_IDEM)
     return _verdict(ok, residual, {"a": a}, {

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import config
 from .algebra import (AlgebraShape, Element, count_nonzero_spectrum, ginibre,
-                      identity, random_block_stacks, witness_spectra, zero)
+                      random_block_stacks, witness_spectra, zero)
 from .config import DEFAULT_TOLS, Tolerances
 from .numkernel import ConvergenceError, SpecrankError, mat_rank
 
@@ -147,12 +147,12 @@ def assumes_rank_at(a: Element, x: Element,
     return count_nonzero_spectrum(x * a, tols) == certificate.rank
 
 
-def is_maximal(a: Element, rng: np.random.Generator | None = None,
-               certificate: RankCertificate | None = None,
+def is_maximal(a: Element, certificate: RankCertificate,
                tols: Tolerances = DEFAULT_TOLS) -> bool:
-    """True when ``a`` assumes its rank at the identity."""
-    cert = certificate or spectral_rank(a, rng=rng, tols=tols)
-    return assumes_rank_at(a, identity(a.shape), cert, tols)
+    """True when ``a`` assumes its rank at the identity: its own count of
+    distinct nonzero spectral values equals the certified rank."""
+    require_certified(certificate)
+    return count_nonzero_spectrum(a, tols) == certificate.rank
 
 
 def _well_conditioned_similarity(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -34,7 +34,7 @@ def test_criterion_1_golden_rank_one_projection():
 
     cert = spectral_rank(a, rng=rng)
     records = {round(abs(r.value), 6): r.m_counting
-               for r in multiplicities(a, rng, cert)}
+               for r in multiplicities(a, rng, cert, True)}
     poly = char_poly(a, rng, cert)
     # -x(1 - x) = x^2 - x: descending coefficients [1, -1, 0]
     coeff_err = float(np.max(np.abs(poly.coefficients()
@@ -54,7 +54,7 @@ def test_criterion_1_golden_rank_one_projection():
 def test_criterion_2_golden_zero_element():
     rng = make_rng(ACCEPT_SEED + 1)
     a = zero(AlgebraShape(dims=(3,)))
-    poly = char_poly(a, rng)
+    poly = char_poly(a, rng, spectral_rank(a, rng=rng))
     annihilated = norm(eval_element(poly, a))
     ok = poly.factors == ((0.0 + 0.0j, 1),) and annihilated == 0.0
     _report(2, "golden zero element", ok,

@@ -32,6 +32,12 @@ def nilpotent2():
     return Element(M2, (np.array([[0.0, 1.0], [0.0, 0.0]]),))
 
 
+def certified_poly(a, rng):
+    """``a``'s polynomial under a fresh rank certificate, drawn from ``rng``
+    in that order."""
+    return char_poly(a, rng, spectral_rank(a, rng=rng))
+
+
 def random_socle(shape, rng):
     ranks = tuple(int(rng.integers(0, d + 1)) for d in shape.dims)
     return random_socle_element(shape, ranks, rng)
@@ -59,25 +65,25 @@ def assert_same_bits(a, b):
 
 class TestCharPolyConstruction:
     def test_rank_one_projection_matrix(self, rng):
-        p = char_poly(diag_element(M3, [1.0, 0.0, 0.0]), rng)
+        p = certified_poly(diag_element(M3, [1.0, 0.0, 0.0]), rng)
         assert p.degree == 2
         assert sorted((round(abs(r), 9), m) for r, m in p.factors) == [(0.0, 1), (1.0, 1)]
         # -x(1-x) = x^2 - x, descending coefficients [1, -1, 0]
         np.testing.assert_allclose(p.coefficients(), [1.0, -1.0, 0.0], atol=1e-12)
 
     def test_zero_element(self, rng):
-        p = char_poly(zero(M3), rng)
+        p = certified_poly(zero(M3), rng)
         assert p.factors == ((0.0 + 0.0j, 1),)
         np.testing.assert_allclose(p.coefficients(), [-1.0, 0.0], atol=1e-15)
 
     def test_invertible_maximal_matches_classical(self, rng):
         a = diag_element(M2, [1.0, 2.0])
-        p = char_poly(a, rng)
+        p = certified_poly(a, rng)
         np.testing.assert_allclose(p.coefficients(),
                                    classical_charpoly(a.blocks[0]), atol=1e-9)
 
     def test_nilpotent(self, rng):
-        p = char_poly(nilpotent2(), rng)
+        p = certified_poly(nilpotent2(), rng)
         assert p.factors == ((0.0 + 0.0j, 2),)
 
     def test_zero_counting_multiplicity_is_typed_error(self):
@@ -106,20 +112,20 @@ class TestCharPolyConstruction:
     def test_constant_term_law(self, rng):
         # p(0) = 0 exactly when 0 belongs to the spectrum
         singular = diag_element(M3, [1.0, 0.0, 0.0])
-        p = char_poly(singular, rng)
+        p = certified_poly(singular, rng)
         assert eval_scalar(p, 0.0) == 0.0
 
         invertible = diag_element(M2, [1.0, 2.0])
-        q = char_poly(invertible, rng)
+        q = certified_poly(invertible, rng)
         assert eval_scalar(q, 0.0) != 0.0
 
         forced = diag_element(AlgebraShape(dims=(2,), ambient=INFINITE_SOCLE),
                               [1.0, 2.0])
-        r = char_poly(forced, rng)
+        r = certified_poly(forced, rng)
         assert eval_scalar(r, 0.0) == 0.0
 
     def test_json_round_trip(self, rng):
-        p = char_poly(diag_element(M3, [1.0, 0.0, 0.0]), rng)
+        p = certified_poly(diag_element(M3, [1.0, 0.0, 0.0]), rng)
         again = CharPoly.from_json(p.to_json())
         assert again.factors == p.factors
         assert again.source_rank == p.source_rank
@@ -127,7 +133,7 @@ class TestCharPolyConstruction:
     def test_maximal_fast_path_agrees(self, rng):
         a = diag_element(M3_M2, [1.0, 2.0, 0.0], [3.0, 0.0])
         fast = char_poly_maximal(a)
-        full = char_poly(a, rng)
+        full = certified_poly(a, rng)
         assert fast.degree == full.degree
         for (r1, m1), (r2, m2) in zip(fast.factors, full.factors):
             assert m1 == m2 and abs(r1 - r2) < 1e-9
@@ -136,28 +142,28 @@ class TestCharPolyConstruction:
 class TestEvaluation:
     def test_scalar_value_frozen(self, rng):
         # (1 - 2)(0 - 2) = 2
-        p = char_poly(diag_element(M3, [1.0, 0.0, 0.0]), rng)
+        p = certified_poly(diag_element(M3, [1.0, 0.0, 0.0]), rng)
         assert abs(eval_scalar(p, 2.0) - 2.0) < 1e-12
 
     def test_element_classical_cayley_hamilton(self, rng):
         a = diag_element(M2, [1.0, 2.0])
-        p = char_poly(a, rng)
+        p = certified_poly(a, rng)
         assert norm(eval_element(p, a)) <= 1e-10
 
     def test_element_nilpotent_exact(self, rng):
         a = nilpotent2()
-        p = char_poly(a, rng)
+        p = certified_poly(a, rng)
         assert norm(eval_element(p, a)) == 0.0
 
     def test_element_at_zero_gives_constant_times_identity(self, rng):
         a = diag_element(M2, [1.0, 2.0])
-        p = char_poly(a, rng)
+        p = certified_poly(a, rng)
         value = eval_element(p, zero(M2))
         assert norm(value - 2.0 * identity(M2)) <= 1e-9
 
     def test_order_independence(self, rng):
         a = diag_element(M3_M2, [1.0, 2.0, 0.0], [3.0, -1.0])
-        p = char_poly(a, rng)
+        p = certified_poly(a, rng)
         reference = eval_element(p, a)
         scale = residual_scale(p, norm(a))
         for perm in itertools.permutations(p.factors):
@@ -186,7 +192,7 @@ class TestEvaluation:
         repeated = diag_element(shape, [2.0, 2.0, 1.0], [2.0, 0.0, 0.0, 0.0, 0.0],
                                 [0.0, 0.0], [0.0] * 6)
         for a in [random_socle(shape, rng) for _ in range(6)] + [repeated]:
-            p = char_poly(a, rng)
+            p = certified_poly(a, rng)
             value = eval_element(p, a)
             assert_same_bits(value, eval_element_reference(p, a))
             for block in value.blocks:
@@ -228,45 +234,50 @@ class TestEvaluation:
 class TestAnnihilationResidual:
     def test_golden_rank_one(self, rng):
         a = diag_element(M3, [1.0, 0.0, 0.0])
-        assert cayley_hamilton_residual(a, rng) <= 1e-10
+        assert cayley_hamilton_residual(a, certified_poly(a, rng)) <= 1e-10
 
     def test_zero_element(self, rng):
-        assert cayley_hamilton_residual(zero(M3_M2), rng) == 0.0
+        a = zero(M3_M2)
+        assert cayley_hamilton_residual(a, certified_poly(a, rng)) == 0.0
 
     def test_random_socle_campaign_small(self):
         rng = make_rng(72)
         worst = 0.0
         for _ in range(100):
             a = random_socle(M3_M2, rng)
-            worst = max(worst, cayley_hamilton_residual(a, rng))
+            worst = max(worst, cayley_hamilton_residual(a, certified_poly(a, rng)))
         assert worst <= 1e-6
 
 
 class TestTraceAndDeterminant:
     def test_trace_zero(self, rng):
-        assert abs(trace(zero(M3), rng)) == 0.0
+        assert abs(trace(certified_poly(zero(M3), rng))) == 0.0
 
     def test_trace_golden(self, rng):
-        assert abs(trace(diag_element(M3, [1.0, 0.0, 0.0]), rng) - 1.0) < 1e-9
+        p = certified_poly(diag_element(M3, [1.0, 0.0, 0.0]), rng)
+        assert abs(trace(p) - 1.0) < 1e-9
 
     def test_trace_matches_classical_sum(self):
         rng = make_rng(73)
         for _ in range(30):
             a = random_socle(M3_M2, rng)
             classical = sum(np.trace(b) for b in a.blocks)
-            got = trace(a, rng)
+            got = trace(certified_poly(a, rng))
             assert abs(got - classical) <= 1e-8 * max(1.0, abs(classical))
 
     def test_det_of_identity_shift_of_zero(self, rng):
-        assert det_plus_one(zero(M3), rng) == 1.0
+        a = zero(M3)
+        assert det_plus_one(a, certified_poly(a, rng)) == 1.0
 
     def test_det_golden(self, rng):
         # (1+1)^1 (0+1)^1 = 2
-        got = det_plus_one(diag_element(M3, [1.0, 0.0, 0.0]), rng)
+        a = diag_element(M3, [1.0, 0.0, 0.0])
+        got = det_plus_one(a, certified_poly(a, rng))
         assert abs(got - 2.0) < 1e-9
 
     def test_det_exactly_zero_when_minus_one_in_spectrum(self, rng):
-        got = det_plus_one(diag_element(M2, [-1.0, 3.0]), rng)
+        a = diag_element(M2, [-1.0, 3.0])
+        got = det_plus_one(a, certified_poly(a, rng))
         assert got == 0.0
 
     def test_det_multiplicative_small(self):
@@ -274,8 +285,10 @@ class TestTraceAndDeterminant:
         for _ in range(20):
             a = random_socle(M3_M2, rng)
             b = random_socle(M3_M2, rng)
-            lhs = det_plus_one(a + b + a * b, rng)
-            rhs = det_plus_one(a, rng) * det_plus_one(b, rng)
+            c = a + b + a * b
+            lhs = det_plus_one(c, certified_poly(c, rng))
+            rhs = (det_plus_one(a, certified_poly(a, rng))
+                   * det_plus_one(b, certified_poly(b, rng)))
             assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(lhs), abs(rhs))
 
     def test_sylvester_small(self):
@@ -283,15 +296,16 @@ class TestTraceAndDeterminant:
         for _ in range(20):
             a = random_socle(M3_M2, rng)
             b = random_socle(M3_M2, rng)
-            lhs = det_plus_one(a * b, rng)
-            rhs = det_plus_one(b * a, rng)
+            ab, ba = a * b, b * a
+            lhs = det_plus_one(ab, certified_poly(ab, rng))
+            rhs = det_plus_one(ba, certified_poly(ba, rng))
             assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(lhs), abs(rhs))
 
 
 class TestDiagonalization:
     def test_rank_one_projection_matrix(self, rng):
         a = diag_element(M3, [1.0, 0.0, 0.0])
-        pairs = diagonalize_maximal(a, rng)
+        pairs = diagonalize_maximal(a, spectral_rank(a, rng=rng))
         assert len(pairs) == 1
         value, proj = pairs[0]
         assert abs(value - 1.0) < 1e-9
@@ -299,7 +313,7 @@ class TestDiagonalization:
 
     def test_two_distinct_values(self, rng):
         a = diag_element(M2, [1.0, 2.0])
-        pairs = diagonalize_maximal(a, rng)
+        pairs = diagonalize_maximal(a, spectral_rank(a, rng=rng))
         assert len(pairs) == 2
         recon = zero(M2)
         for value, proj in pairs:
@@ -310,7 +324,7 @@ class TestDiagonalization:
         rng = make_rng(76)
         for _ in range(10):
             a = make_maximal(M3_M2, [1.0, 2.0 + 1.0j, -1.5], rng)
-            pairs = diagonalize_maximal(a, rng)
+            pairs = diagonalize_maximal(a, spectral_rank(a, rng=rng))
             recon = zero(M3_M2)
             for value, proj in pairs:
                 recon = recon + value * proj.element
@@ -318,16 +332,19 @@ class TestDiagonalization:
 
     def test_non_maximal_rejected(self, rng):
         with pytest.raises(DiagonalizationError):
-            diagonalize_maximal(nilpotent2(), rng)
+            a = nilpotent2()
+            diagonalize_maximal(a, spectral_rank(a, rng=rng))
 
     def test_zero_rejected(self, rng):
         with pytest.raises(DiagonalizationError):
-            diagonalize_maximal(zero(M3), rng)
+            a = zero(M3)
+            diagonalize_maximal(a, spectral_rank(a, rng=rng))
 
 
 class TestApproximationSequence:
     def test_nilpotent_walk_converges(self, rng):
-        record = approximation_sequence(nilpotent2(), 6, 3.0, rng)
+        a = nilpotent2()
+        record = approximation_sequence(a, 6, 3.0, rng, spectral_rank(a, rng=rng))
         assert record.completed and len(record.steps) == 6
         dev2 = record.steps[1].deviation
         dev6 = record.steps[5].deviation
@@ -337,7 +354,7 @@ class TestApproximationSequence:
 
     def test_maximal_element_walk_stays_annihilating(self, rng):
         a = diag_element(M2, [1.0, 2.0])
-        record = approximation_sequence(a, 6, 3.0, rng)
+        record = approximation_sequence(a, 6, 3.0, rng, spectral_rank(a, rng=rng))
         assert record.completed
         # already at the limit: deviations track the witness scale and the
         # step residuals never leave rounding level
@@ -346,10 +363,12 @@ class TestApproximationSequence:
 
     def test_minimum_steps_enforced(self, rng):
         with pytest.raises(ValueError):
-            approximation_sequence(nilpotent2(), 2, 3.0, rng)
+            a = nilpotent2()
+            approximation_sequence(a, 2, 3.0, rng, spectral_rank(a, rng=rng))
 
     def test_record_json(self, rng):
-        record = approximation_sequence(nilpotent2(), 3, 3.0, rng)
+        a = nilpotent2()
+        record = approximation_sequence(a, 3, 3.0, rng, spectral_rank(a, rng=rng))
         data = record.to_json()
         assert data["completed"] is True
         assert len(data["steps"]) == 3

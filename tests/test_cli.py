@@ -83,8 +83,8 @@ class TestGen:
                      "--seed", "5", "--out", str(out)])
         assert code == 0
         element = Element.from_json(json.loads(out.read_text()))
-        from specrank.rank import is_maximal
-        assert is_maximal(element, make_rng(0))
+        from specrank.rank import is_maximal, spectral_rank
+        assert is_maximal(element, spectral_rank(element, rng=make_rng(0)))
 
     def test_infinite_ambient_round_trip(self, tmp_path):
         out = tmp_path / "inf.json"
@@ -339,6 +339,11 @@ BAD_INPUTS = {
     "config_tol_not_number": {"tol_cluster": "x", "trials": 1},
     "config_trial_count_not_int": {"trials": {"jacobson": "x"}},
     "config_out_not_path": {"out": ["report.json"], "trials": 1},
+    "campaign_tol_cluster_inf": ["campaign", "--trials", "1", "--tol-cluster", "inf"],
+    "campaign_tol_residual_overflow": ["campaign", "--trials", "1",
+                                       "--tol-residual", "1e400"],
+    "config_tol_cluster_infinity": {"tol_cluster": float("inf"), "trials": 1},
+    "gen_maximal_eig_inf": ["gen", "--dims", "2", "--maximal-eigs", "inf"],
 }
 
 
@@ -357,6 +362,12 @@ def test_bad_seeds_and_values_are_usage_errors(tmp_path, capsys, case):
         argv += ["--out", str(tmp_path / "out")]
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_non_finite_maximal_eig_names_the_reason(tmp_path, capsys):
+    assert main(["gen", "--dims", "2", "--maximal-eigs", "1,inf",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "must hold finite values" in capsys.readouterr().err
 
 
 def test_no_command_is_usage_error():

@@ -63,13 +63,15 @@ class TestSpectralGap:
 class TestCountingMultiplicity:
     def test_rank_one_projection_matrix(self, rng):
         a = diag_element(M3, [1.0, 0.0, 0.0])
-        rec1 = multiplicity(a, 1.0, rng)
-        rec0 = multiplicity(a, 0.0, rng)
+        rec1 = multiplicity(a, 1.0, rng, spectral_rank(a, rng=rng), True)
+        rec0 = multiplicity(a, 0.0, rng, spectral_rank(a, rng=rng), True)
         assert rec1.m_counting == 1 and rec1.m_riesz == 1
         assert rec0.m_counting == 1 and rec0.m_riesz is None
 
     def test_zero_element(self, rng):
-        rec = multiplicity(zero_element := diag_element(M3, [0, 0, 0]), 0.0, rng)
+        zero_element = diag_element(M3, [0, 0, 0])
+        rec = multiplicity(zero_element, 0.0, rng,
+                           spectral_rank(zero_element, rng=rng), True)
         assert rec.m_counting == 1
         assert spectrum(zero_element).values() == [0.0]
 
@@ -79,26 +81,28 @@ class TestCountingMultiplicity:
         a = Element(M2, (np.array([[0.0, 1.0], [0.0, 0.0]]),))
         oracle = brute_force_count(a, 0.0, radius=2.0, rng=make_rng(99))
         assert oracle == 2
-        rec = multiplicity(a, 0.0, rng)
+        rec = multiplicity(a, 0.0, rng, spectral_rank(a, rng=rng), True)
         assert rec.m_counting == 2
 
     def test_c3_example(self, rng):
         a = diag_element(C3, [1.0], [1.0], [0.0])
-        assert multiplicity(a, 1.0, rng).m_counting == 2
-        assert multiplicity(a, 0.0, rng).m_counting == 1
+        assert multiplicity(a, 1.0, rng, spectral_rank(a, rng=rng), True).m_counting == 2
+        assert multiplicity(a, 0.0, rng, spectral_rank(a, rng=rng), True).m_counting == 1
 
     def test_not_a_spectral_value(self, rng):
         with pytest.raises(SpectrumDomainError):
-            multiplicity(diag_element(M3, [1.0, 0.0, 0.0]), 7.0, rng)
+            a = diag_element(M3, [1.0, 0.0, 0.0])
+            multiplicity(a, 7.0, rng, spectral_rank(a, rng=rng), True)
 
     def test_ambient_zero_is_counted(self, rng):
         shape = AlgebraShape(dims=(2,), ambient=INFINITE_SOCLE)
         a = diag_element(shape, [1.0, 2.0])
-        rec = multiplicity(a, 0.0, rng)
+        rec = multiplicity(a, 0.0, rng, spectral_rank(a, rng=rng), True)
         assert rec.m_counting == 1
 
     def test_votes_recorded(self, rng):
-        rec = multiplicity(diag_element(M3, [1.0, 0.0, 0.0]), 1.0, rng)
+        a = diag_element(M3, [1.0, 0.0, 0.0])
+        rec = multiplicity(a, 1.0, rng, spectral_rank(a, rng=rng), True)
         assert sum(n for _, n in rec.votes) == rec.samples
         assert rec.samples >= 5
 
@@ -143,7 +147,7 @@ class TestMultiplicityOracle:
         for _ in range(30):
             ranks = (int(rng.integers(0, 4)), int(rng.integers(0, 3)))
             a = random_socle_element(shape, ranks, rng)
-            for rec in multiplicities(a, rng, with_riesz=False):
+            for rec in multiplicities(a, rng, spectral_rank(a, rng=rng), with_riesz=False):
                 assert rec.m_counting == multiplicity_oracle(a, rec.value)
 
 
@@ -155,7 +159,7 @@ class TestInvariants:
             ranks = (int(rng.integers(0, 4)), int(rng.integers(0, 3)))
             a = random_socle_element(shape, ranks, rng)
             cert = spectral_rank(a, rng=rng)
-            total = sum(rec.m_counting for rec in multiplicities(a, rng, cert))
+            total = sum(rec.m_counting for rec in multiplicities(a, rng, cert, True))
             assert total <= cert.rank + 1
 
     def test_counting_equals_riesz_equals_algebraic(self):
@@ -165,7 +169,7 @@ class TestInvariants:
             ranks = (int(rng.integers(1, 4)), int(rng.integers(0, 3)))
             a = random_socle_element(shape, ranks, rng)
             spec = spectrum(a)
-            for rec in multiplicities(a, rng, with_riesz=True):
+            for rec in multiplicities(a, rng, spectral_rank(a, rng=rng), with_riesz=True):
                 if abs(rec.value) > spec.tol:
                     algebraic = spec.count_at(rec.value)
                     assert rec.m_counting == rec.m_riesz == algebraic
@@ -181,7 +185,7 @@ class TestInvariants:
                 if all(abs(z - w) > 0.2 for w in values):
                     values.append(complex(z))
             a = make_maximal(shape, values, rng)
-            for rec in multiplicities(a, rng, with_riesz=False):
+            for rec in multiplicities(a, rng, spectral_rank(a, rng=rng), with_riesz=False):
                 assert rec.m_counting == 1
 
     def test_similarity_invariance_within_block(self, rng):
@@ -190,14 +194,17 @@ class TestInvariants:
                                + 1j * rng.standard_normal((3, 3)))
         b = Element(M3, (s @ a.blocks[0] @ np.linalg.inv(s),))
         ma = sorted((round(r.value.real, 6), r.m_counting)
-                    for r in multiplicities(a, rng, with_riesz=False))
+                    for r in multiplicities(a, rng, spectral_rank(a, rng=rng),
+                                            with_riesz=False))
         mb = sorted((round(r.value.real, 6), r.m_counting)
-                    for r in multiplicities(b, rng, with_riesz=False))
+                    for r in multiplicities(b, rng, spectral_rank(b, rng=rng),
+                                            with_riesz=False))
         assert ma == mb
 
 
 def test_record_json_round_trip(rng):
-    rec = multiplicity(diag_element(M3, [1.0, 0.0, 0.0]), 1.0, rng)
+    a = diag_element(M3, [1.0, 0.0, 0.0])
+    rec = multiplicity(a, 1.0, rng, spectral_rank(a, rng=rng), True)
     data = rec.to_json()
     assert data["m_counting"] == 1
     assert data["m_riesz"] == 1

@@ -151,7 +151,7 @@ def test_det_plus_one_overflow():
     a = Element(AlgebraShape(dims=(2,)), (np.diag([1e200, 2e200]),))
     poly = CharPoly(factors=((1e200, 1), (2e200, 1)), source_rank=2)
     with pytest.raises(NonFiniteError, match=r"det\(a \+ 1\)"):
-        det_plus_one(a, make_rng(1), poly=poly)
+        det_plus_one(a, poly)
 
 
 def test_trace_overflow():

@@ -136,15 +136,17 @@ class TestAssumesRankAt:
 
 class TestIsMaximal:
     def test_rank_one_projection_matrix(self, rng):
-        assert is_maximal(diag_element(M3, [1.0, 0.0, 0.0]), rng)
+        a = diag_element(M3, [1.0, 0.0, 0.0])
+        assert is_maximal(a, spectral_rank(a, rng=rng))
 
     def test_identity_in_m2_is_not(self, rng):
         # repeated eigenvalue: one distinct nonzero value but rank 2
-        assert not is_maximal(identity(AlgebraShape(dims=(2,))), rng)
+        a = identity(AlgebraShape(dims=(2,)))
+        assert not is_maximal(a, spectral_rank(a, rng=rng))
 
     def test_distinct_diagonal_blocks(self, rng):
         a = diag_element(AlgebraShape(dims=(2, 1)), [1.0, 2.0], [3.0])
-        assert is_maximal(a, rng)
+        assert is_maximal(a, spectral_rank(a, rng=rng))
 
 
 class TestWellConditionedSimilarity:
@@ -173,7 +175,7 @@ class TestMakeMaximal:
         assert values[0] == 0.0
         assert abs(values[1] - 1.0) < 1e-9
         assert rank_oracle(a) == 1
-        assert is_maximal(a, rng)
+        assert is_maximal(a, spectral_rank(a, rng=rng))
 
     def test_no_eigenvalues_gives_zero(self, rng):
         assert norm(make_maximal(M3, [], rng)) == 0.0
@@ -183,7 +185,7 @@ class TestMakeMaximal:
         a = make_maximal(shape, [1.0, 2.0, 3.0], rng)
         cert = spectral_rank(a, rng=rng)
         assert cert.rank == 3
-        assert is_maximal(a, rng, certificate=cert)
+        assert is_maximal(a, cert)
 
     def test_explicit_assignment(self, rng):
         shape = AlgebraShape(dims=(2, 2))
@@ -208,7 +210,7 @@ class TestCompressedRank:
         shape = AlgebraShape(dims=(3, 2))
         for _ in range(20):
             m = make_maximal(shape, [1.0, 2.5, -1.0 + 1.0j], rng)
-            pairs = diagonalize_maximal(m, rng)
+            pairs = diagonalize_maximal(m, spectral_rank(m, rng=rng))
             total = zero(shape)
             for _, proj in pairs[:2]:
                 total = total + proj.element

@@ -76,7 +76,8 @@ def test_contour_projectors_checked_under_their_tols(monkeypatch):
     assert multiplicity_riesz(A, 1.0) == 1
     # a projector off by 2e-5 has rank 1 only at a rank cutoff above that
     b = Element(M3, (np.diag([1.0, 2.0, 0.0]),))
-    pairs = diagonalize_maximal(b, make_rng(3), tols=replace(DEFAULT_TOLS, rank_rel=1e-3))
+    tols = replace(DEFAULT_TOLS, rank_rel=1e-3)
+    pairs = diagonalize_maximal(b, spectral_rank(b, rng=make_rng(3), tols=tols), tols)
     assert [v for v, _ in pairs] == [1.0, 2.0]
 
 
