@@ -24,7 +24,8 @@ from .config import DEFAULT_TOLS, Tolerances
 from .jsonio import complex_to_pair, pair_to_complex
 from .multiplicity import (MultiplicityRecord, UnstableMultiplicityError,
                            multiplicities, spectral_gap)
-from .numkernel import NonFiniteError, SpecrankError, settle
+from .numkernel import (NonFiniteError, SpecrankError, frobenius_stack, mat_rank,
+                        settle)
 from .rank import RankCertificate, is_maximal, rank_oracle, spectral_rank
 
 
@@ -209,6 +210,12 @@ def diagonalize_maximal(a: Element, certificate: RankCertificate,
     ``certificate`` is ``a``'s rank. Each distinct nonzero spectral value
     gets its blockwise contour projector; the projectors must be rank one and
     mutually annihilating, and must reconstruct ``a`` as ``sum value_i * p_i``.
+
+    The first two checks run on one ``(k, n, n)`` stack of the ``k``
+    projectors per block: their ranks are one ``mat_rank`` call, and all
+    products ``p_i p_j`` are broadcast matmuls over chunks of whole rows.
+    A failure raises what checking value by value, then pair by pair in
+    ``(i, j)`` order with element arithmetic, raises first.
     """
     if norm(a) == 0.0:
         raise DiagonalizationError("the zero element has no spectral resolution")
@@ -219,26 +226,19 @@ def diagonalize_maximal(a: Element, certificate: RankCertificate,
     gap = spectral_gap(a, tols)
     radius = gap / config.RIESZ_RADIUS_DIV
     pairs = []
-    for v, blocks in zip(values, riesz_values(a, values, radius)):
-        proj = ProjectionElement(Element(a.shape, settle(blocks)))
-        r = rank_oracle(proj.element, tols)
-        if r != 1:
-            raise DiagonalizationError(
-                f"projector at {v} has rank {r}, expected 1",
-                diagnostics={"value": v, "rank": r})
-        pairs.append((v, proj))
+    try:
+        for v, blocks in zip(values, riesz_values(a, values, radius)):
+            pairs.append((v, ProjectionElement(Element(a.shape, settle(blocks)))))
+    except (SpecrankError, ValueError):
+        # a projector before this value that fails the rank test fails first
+        _check_ranks(pairs, _block_stacks(pairs), tols)
+        raise
+    if pairs:
+        stacks = _block_stacks(pairs)
+        _check_ranks(pairs, stacks, tols)
+        _check_orthogonal(pairs, stacks)
 
     check_tol = config.PROJECTION_IDEM
-    for i, (vi, pi) in enumerate(pairs):
-        for j, (vj, pj) in enumerate(pairs):
-            prod = pi.element * pj.element
-            expect = pi.element if i == j else zero(a.shape)
-            defect = norm(prod - expect)
-            if defect > check_tol * (1.0 + norm(pi.element) * norm(pj.element)):
-                raise DiagonalizationError(
-                    f"projectors at {vi}, {vj} are not orthogonal idempotents",
-                    diagnostics={"defect": defect})
-
     recon = zero(a.shape)
     for v, p in pairs:
         recon = recon + v * p.element
@@ -248,6 +248,65 @@ def diagonalize_maximal(a: Element, certificate: RankCertificate,
             f"reconstruction defect {defect:.3e} too large",
             diagnostics={"defect": defect})
     return pairs
+
+
+# the products p_i p_j of a block are computed in chunks of whole rows i of
+# at most this many matrix entries (at least one row), which bounds them at
+# a few MB while the k <= 4 projectors of a campaign element are one chunk
+_PRODUCT_BUDGET = 1 << 18
+
+
+def _block_stacks(pairs) -> list[np.ndarray]:
+    """Per block, the ``(k, n, n)`` stack of the projectors' blocks."""
+    return [np.array(blocks) for blocks in zip(*(p.element.blocks for _, p in pairs))]
+
+
+def _check_ranks(pairs, stacks, tols: Tolerances):
+    """Each projector's classical rank, summed over its blocks, must be 1."""
+    if not pairs:
+        return
+    ranks = sum(mat_rank(stack, tols.rank_rel) for stack in stacks)
+    for (v, _), r in zip(pairs, ranks.tolist()):
+        if r != 1:
+            raise DiagonalizationError(
+                f"projector at {v} has rank {r}, expected 1",
+                diagnostics={"value": v, "rank": r})
+
+
+def _check_orthogonal(pairs, stacks):
+    """``p_i p_j`` must be within ``PROJECTION_IDEM * (1 + |p_i| |p_j|)`` of
+    ``p_i`` when ``i == j`` and of 0 otherwise, its defect measured as
+    ``norm`` does: the largest Frobenius norm over the blocks. A pair whose
+    product or difference overflows raises the ``NonFiniteError`` that
+    element arithmetic raises, and one whose defect overflows that of
+    ``norm``."""
+    k = len(pairs)
+    sizes = np.array([norm(p.element) for _, p in pairs])
+    with np.errstate(over="ignore"):  # an infinite bound passes, as in floats
+        bounds = config.PROJECTION_IDEM * (1.0 + sizes[:, None] * sizes[None, :])
+    step = max(1, _PRODUCT_BUDGET // (k * sum(stack[0].size for stack in stacks)))
+    for start in range(0, k, step):
+        rows = slice(start, start + step)
+        finite, defects = True, 0.0
+        for stack in stacks:
+            with np.errstate(over="ignore", invalid="ignore"):
+                prods = stack[rows, None] @ stack[None]
+                diag = np.arange(len(prods))
+                prods[diag, diag + start] -= stack[rows]
+            finite = finite & np.isfinite(prods).all(axis=(-2, -1))
+            defects = np.maximum(defects, frobenius_stack(prods))
+        bad = ~finite | ~(defects < np.inf) | (defects > bounds[rows])
+        if not bad.any():
+            continue
+        row, j = divmod(int(bad.argmax()), k)
+        if not finite[row, j]:
+            raise NonFiniteError("element arithmetic overflowed: matrix entries must be finite")
+        if not defects[row, j] < np.inf:
+            raise NonFiniteError("element norm overflowed to a non-finite value")
+        raise DiagonalizationError(
+            f"projectors at {pairs[start + row][0]}, {pairs[j][0]} "
+            "are not orthogonal idempotents",
+            diagnostics={"defect": float(defects[row, j])})
 
 
 @dataclass(frozen=True)

@@ -76,6 +76,18 @@ def frobenius(m) -> float:
         return scale * float(np.linalg.norm(a / scale, "fro"))
 
 
+def frobenius_stack(m) -> np.ndarray:
+    """``frobenius`` of each matrix of a ``(..., n, n)`` stack, as an array
+    of the stack's leading shape: one stacked norm, with each entry whose
+    plain sum of squares overflows taken again by ``frobenius``."""
+    a = np.asarray(m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(a, axis=(-2, -1))
+    for index in zip(*np.nonzero(~(norms < np.inf))):
+        norms[index] = frobenius(a[index])
+    return norms
+
+
 def eig(m) -> np.ndarray:
     """All eigenvalues of ``m``, repeated per algebraic multiplicity.
 
@@ -259,10 +271,19 @@ def _merge_close(points: list, tol: float):
                 break
 
 
-def mat_rank(m, tol: float) -> int:
-    """Classical rank: singular values above ``tol * max(s_max, 1)``."""
+def mat_rank(m, tol: float):
+    """Classical rank: singular values above ``tol * max(s_max, 1)``.
+
+    A ``(k, n, n)`` stack gives a ``(k,)`` array of ranks from one ``svd``
+    call, each cut at its own matrix's ``s_max``; the singular values of
+    each row are bitwise those of the matrix alone, so each rank is the
+    one its matrix gets alone.
+    """
     if tol <= 0:
         raise ValueError("rank tolerance must be positive")
+    if np.ndim(m) == 3:
+        s = np.linalg.svd(_square(m, 3), compute_uv=False)
+        return np.sum(s > tol * np.maximum(s[:, :1], 1.0), axis=1)
     s = np.linalg.svd(as_matrix(m), compute_uv=False)
     cutoff = tol * max(float(s[0]) if s.size else 0.0, 1.0)
     return int(np.sum(s > cutoff))
@@ -423,16 +444,11 @@ def _each_matrix(solver, *stacks) -> tuple[np.ndarray, list[bool]]:
 def _checked_projectors(p: np.ndarray) -> list:
     """Per finite projector of the stack ``p``: itself, or the
     ``ContourError`` of the first check it fails, idempotency then a trace
-    near an integer. A norm whose plain sum of squares overflows is taken
-    again by ``frobenius``."""
-    defects = p @ p - p
-    norms = zip(np.linalg.norm(defects, axis=(1, 2)).tolist(),
-                np.linalg.norm(p, axis=(1, 2)).tolist(),
+    near an integer."""
+    norms = zip(frobenius_stack(p @ p - p).tolist(), frobenius_stack(p).tolist(),
                 np.trace(p, axis1=1, axis2=2).tolist())
     checked = []
-    for pj, dj, (defect, size, tr) in zip(p, defects, norms):
-        defect = defect if defect < math.inf else frobenius(dj)
-        size = size if size < math.inf else frobenius(pj)
+    for pj, (defect, size, tr) in zip(p, norms):
         if defect > config.PROJECTION_IDEM * (1.0 + size):
             checked.append(ContourError(
                 f"contour too close to spectrum: ||p^2 - p|| = {defect:.3e}",

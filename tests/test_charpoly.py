@@ -1,11 +1,16 @@
 import itertools
+import struct
 
 import numpy as np
 import pytest
 
+import specrank.charpoly as charpoly
+from specrank import config
 from specrank.algebra import (FINITE, INFINITE_SOCLE, AlgebraShape, Element,
                               ProjectionElement, compressed_view, identity,
-                              norm, random_element, random_socle_element, zero)
+                              nonzero_spectrum, norm, random_element,
+                              random_socle_element, zero)
+from specrank.config import DEFAULT_TOLS
 from specrank.charpoly import (CharPoly, DiagonalizationError,
                                approximation_sequence,
                                cayley_hamilton_residual, char_poly,
@@ -13,9 +18,11 @@ from specrank.charpoly import (CharPoly, DiagonalizationError,
                                det_plus_one,
                                diagonalize_maximal, eval_element, eval_scalar,
                                naive_det_demo, residual_scale, trace)
-from specrank.multiplicity import MultiplicityRecord, UnstableMultiplicityError
-from specrank.numkernel import NonFiniteError, classical_charpoly
-from specrank.rank import make_maximal, spectral_rank
+from specrank.multiplicity import (MultiplicityRecord, UnstableMultiplicityError,
+                                   spectral_gap)
+from specrank.numkernel import (ContourError, NonFiniteError, classical_charpoly,
+                                settle)
+from specrank.rank import is_maximal, make_maximal, rank_oracle, spectral_rank
 from conftest import make_rng
 
 M2 = AlgebraShape(dims=(2,))
@@ -339,6 +346,153 @@ class TestDiagonalization:
         with pytest.raises(DiagonalizationError):
             a = zero(M3)
             diagonalize_maximal(a, spectral_rank(a, rng=rng))
+
+
+def reference_diagonalize(a, certificate, tols=DEFAULT_TOLS):
+    """``diagonalize_maximal`` as the element-by-element loop its stacked
+    checks replace: each projector's rank, then each of the k^2 products
+    as element arithmetic."""
+    if norm(a) == 0.0:
+        raise DiagonalizationError("the zero element has no spectral resolution")
+    if not is_maximal(a, certificate, tols):
+        raise DiagonalizationError("element does not assume its rank at the identity")
+    values = nonzero_spectrum(a, tols).values()
+    radius = spectral_gap(a, tols) / config.RIESZ_RADIUS_DIV
+    pairs = []
+    for v, blocks in zip(values, charpoly.riesz_values(a, values, radius)):
+        proj = ProjectionElement(Element(a.shape, settle(blocks)))
+        r = rank_oracle(proj.element, tols)
+        if r != 1:
+            raise DiagonalizationError(f"projector at {v} has rank {r}, expected 1")
+        pairs.append((v, proj))
+    check_tol = config.PROJECTION_IDEM
+    for i, (vi, pi) in enumerate(pairs):
+        for j, (vj, pj) in enumerate(pairs):
+            prod = pi.element * pj.element
+            expect = pi.element if i == j else zero(a.shape)
+            defect = norm(prod - expect)
+            if defect > check_tol * (1.0 + norm(pi.element) * norm(pj.element)):
+                raise DiagonalizationError(
+                    f"projectors at {vi}, {vj} are not orthogonal idempotents")
+    recon = zero(a.shape)
+    for v, p in pairs:
+        recon = recon + v * p.element
+    defect = norm(a - recon)
+    if defect > check_tol * (1.0 + norm(a)):
+        raise DiagonalizationError(f"reconstruction defect {defect:.3e} too large")
+    return pairs
+
+
+def resolution_outcome(fn, a, certificate):
+    """The ``(value, projector bytes)`` pairs, or the error's type and text."""
+    try:
+        pairs = fn(a, certificate)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [(struct.pack("<dd", v.real, v.imag), [b.tobytes() for b in p.element.blocks])
+            for v, p in pairs]
+
+
+def assert_resolution_matches(a, certificate):
+    got = resolution_outcome(diagonalize_maximal, a, certificate)
+    # element arithmetic warns where it overflows; the stacked checks must not
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = resolution_outcome(reference_diagonalize, a, certificate)
+    assert got == want
+    return got
+
+
+class TestDiagonalizationAgainstElementLoop:
+    @pytest.mark.parametrize("ambient", [FINITE, INFINITE_SOCLE])
+    def test_constructed_maximal_elements(self, ambient):
+        rng = make_rng(230)
+        shapes = [(1,), (2,), (4,), (3, 2), (2, 2, 1), (6, 6, 6, 6), (4, 3)]
+        for trial in range(25):
+            dims = shapes[trial % len(shapes)]
+            k = int(rng.integers(1, min(4, sum(dims)) + 1))
+            values = [complex(m * np.cos(t), m * np.sin(t)) for m, t in
+                      zip(rng.uniform(0.5, 3.0, k),
+                          2 * np.pi * (np.arange(k) + rng.uniform(0, 0.5, k)) / k)]
+            a = make_maximal(AlgebraShape(dims, ambient), values, rng)
+            pairs = assert_resolution_matches(a, spectral_rank(a, rng=rng))
+            assert len(pairs) == k
+
+    def test_block_of_forty_values_crosses_the_product_budget(self):
+        rng = make_rng(231)
+        values = [complex(np.cos(t) * (1 + 0.3 * (t % 3)), np.sin(t) * (1 + 0.3 * (t % 3)))
+                  for t in 2 * np.pi * np.arange(40) / 40]
+        a = make_maximal(AlgebraShape((42,), INFINITE_SOCLE), values, rng)
+        assert 40 * 40 * 42 ** 2 > 2 * charpoly._PRODUCT_BUDGET
+        assert len(assert_resolution_matches(a, spectral_rank(a, rng=rng))) == 40
+
+    def test_empty_resolution_of_a_tiny_element(self):
+        for ambient in (FINITE, INFINITE_SOCLE):
+            a = diag_element(AlgebraShape((3,), ambient), [1e-12, 2e-12, 0.0])
+            assert assert_resolution_matches(a, spectral_rank(a, rng=make_rng(5))) == []
+
+    @staticmethod
+    def crafted(monkeypatch, diag, projectors):
+        """``diag``'s element, certified, with ``riesz_values`` giving
+        ``projectors`` (matrices or errors) for its values in order."""
+        a = diag_element(AlgebraShape((len(diag),)), diag)
+        certificate = spectral_rank(a, rng=make_rng(6))
+        assert certificate.rank == len(projectors)
+
+        def riesz_values(_a, values, _radius):
+            assert len(values) == len(projectors)
+            return [p if isinstance(p, Exception) else (np.asarray(p, dtype=complex),)
+                    for p in projectors]
+        monkeypatch.setattr(charpoly, "riesz_values", riesz_values)
+        return a, certificate
+
+    def assert_raises_as_reference(self, monkeypatch, diag, projectors, error, text):
+        a, certificate = self.crafted(monkeypatch, diag, projectors)
+        got = assert_resolution_matches(a, certificate)
+        assert got[0] is error and text in got[1]
+
+    def test_rank_two_projector(self, monkeypatch):
+        self.assert_raises_as_reference(
+            monkeypatch, [1.0, 2.0, 0.0], [np.diag([1, 0, 0]), np.diag([0, 1, 1])],
+            DiagonalizationError, "projector at (2+0j) has rank 2")
+
+    def test_rank_test_comes_before_a_later_contour_error(self, monkeypatch):
+        self.assert_raises_as_reference(
+            monkeypatch, [1.0, 2.0, 0.0], [np.diag([1, 1, 0]), ContourError("rejected")],
+            DiagonalizationError, "projector at (1+0j) has rank 2")
+        self.assert_raises_as_reference(
+            monkeypatch, [1.0, 2.0, 0.0], [np.diag([1, 0, 0]), ContourError("rejected")],
+            ContourError, "rejected")
+        self.assert_raises_as_reference(
+            monkeypatch, [1.0, 2.0, 0.0], [np.diag([1, 0, 0]), np.diag([0, 2, 0])],
+            ValueError, "not a projection")
+
+    def test_first_non_orthogonal_pair_in_row_order_is_named(self, monkeypatch):
+        # p_i = u_i v_i^T; pairs (0, 2) and (1, 0) have v_i . u_j = 1, and
+        # (0, 2) comes first row by row, (1, 0) column by column
+        e = np.eye(4)
+        p = [np.outer(e[0], e[0] + e[2]), np.outer(e[1], e[1] + e[0]), np.outer(e[2], e[2])]
+        self.assert_raises_as_reference(
+            monkeypatch, [1.0, 2.0, 3.0, 0.0], p,
+            DiagonalizationError, "projectors at (1+0j), (3+0j) are not orthogonal")
+
+    def test_overflowing_product(self, monkeypatch):
+        # p_1 p_0 has the entry 1e200 * 1e200
+        e = np.eye(3)
+        p = [np.outer(e[0] + 1e200 * e[1], e[0]), np.outer(e[2], e[2] + 1e200 * e[1])]
+        self.assert_raises_as_reference(
+            monkeypatch, [1.0, 2.0, 0.0], p, NonFiniteError, "element arithmetic overflowed")
+
+    def test_overflowing_defect_norm(self, monkeypatch):
+        # p_0 p_1 is finite, with two entries 1.5e308: its norm overflows
+        e = np.eye(4)
+        p = [np.outer(e[0] + e[1], e[0] + 1e154 * e[3]), np.outer(e[2] + 1.5e154 * e[3], e[2])]
+        self.assert_raises_as_reference(
+            monkeypatch, [1.0, 2.0, 0.0, 0.0], p, NonFiniteError, "element norm overflowed")
+
+    def test_reconstruction_defect(self, monkeypatch):
+        self.assert_raises_as_reference(
+            monkeypatch, [1.0, 2.0, 0.0], [np.diag([1, 0, 0]), np.diag([0, 0, 1])],
+            DiagonalizationError, "reconstruction defect")
 
 
 class TestApproximationSequence:

@@ -128,6 +128,40 @@ class TestMatRank:
     def test_nilpotent(self):
         assert mat_rank(np.array([[0.0, 1.0], [0.0, 0.0]]), 1e-8) == 1
 
+    def test_matrix_gives_python_int_from_its_own_cutoff(self):
+        m = np.diag([100.0, 5e-7, 0.0])
+        s = np.linalg.svd(m, compute_uv=False)
+        r = mat_rank(m, 1e-8)
+        assert type(r) is int and r == int(np.sum(s > 1e-8 * max(s[0], 1.0))) == 1
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_stack_matches_matrix_by_matrix(self, n):
+        rng = make_rng(600 + n)
+        mats = [np.zeros((n, n))]
+        for r in range(n + 1):
+            for scale in (1e-3, 1.0, 1e3):
+                left = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
+                right = rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n))
+                mats.append(scale * (left @ right))
+        ranks = mat_rank(np.array(mats), 1e-8)
+        assert ranks.shape == (len(mats),)
+        assert ranks.tolist() == [mat_rank(m, 1e-8) for m in mats]
+        assert sorted(set(ranks.tolist())) == list(range(n + 1))
+
+    def test_stack_cuts_each_matrix_at_its_own_scale(self):
+        # 5e-7 is below 1e-8 * 100 but above 1e-8 * max(1, 1)
+        stack = np.array([np.diag([100.0, 5e-7]), np.diag([1.0, 5e-7]),
+                          np.zeros((2, 2))])
+        assert mat_rank(stack, 1e-8).tolist() == [1, 2, 0]
+
+    def test_stack_validates_like_a_matrix(self):
+        with pytest.raises(ValueError):
+            mat_rank(np.full((2, 3, 3), np.nan), 1e-8)
+        with pytest.raises(ValueError):
+            mat_rank(np.zeros((2, 3, 2)), 1e-8)
+        with pytest.raises(ValueError):
+            mat_rank(np.zeros((2, 3, 3)), 0.0)
+
 
 class TestClassicalCharpoly:
     def test_rank_one_diagonal(self):

@@ -13,7 +13,7 @@ from specrank.charpoly import (CharPoly, det_plus_one, residual_scale,
 from specrank.cli import main
 from specrank.jsonio import matrix_to_rows, pair_to_complex
 from specrank.numkernel import (ContourError, NonFiniteError, cluster,
-                                frobenius, riesz_projection)
+                                frobenius, frobenius_stack, riesz_projection)
 from conftest import make_rng
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -113,6 +113,19 @@ def test_norm_rescaled_only_when_its_sum_of_squares_overflows():
     assert norm(Element(AlgebraShape(dims=(2,)), (np.diag([1e300, 1.0]),))) == 1e300
     m = make_rng(3).standard_normal((4, 4)) + 1j
     assert frobenius(m) == float(np.linalg.norm(m, "fro"))
+
+
+def test_stacked_norm_rescales_only_overflowed_matrices():
+    m = make_rng(4).standard_normal((3, 2, 4, 4)) + 1j
+    m[1, 0] = np.diag([1e300, 1e300, 1.0, 1.0])  # sum of squares overflows
+    m[2, 1] = np.diag([1.5e308, 1.5e308, 1.0, 1.0])  # so does the norm
+    norms = frobenius_stack(m)
+    assert norms.shape == (3, 2)
+    assert norms[1, 0] == frobenius(m[1, 0]) and 1e300 < norms[1, 0] < np.inf
+    assert norms[2, 1] == np.inf
+    plain = np.linalg.norm(m, axis=(-2, -1))
+    assert all(norms[i, j] == plain[i, j] for i in range(3) for j in range(2)
+               if (i, j) not in ((1, 0), (2, 1)))
 
 
 def test_spectral_radius_overflow():
