@@ -286,14 +286,6 @@ def count_nonzero_spectrum(a: Element, tols: Tolerances = DEFAULT_TOLS) -> int:
     return len(nonzero_spectrum(a, tols).points)
 
 
-def is_singular(a: Element, tols: Tolerances = DEFAULT_TOLS) -> bool:
-    """True when 0 belongs to the spectrum of ``a`` relative to its algebra."""
-    if a.shape.is_infinite:
-        return True
-    return any(mat_rank(b, tols.rank_rel) < d
-               for b, d in zip(a.blocks, a.shape.dims))
-
-
 @dataclass(frozen=True, eq=False)
 class ProjectionElement:
     """An idempotent element, to ``config.PROJECTION_IDEM``, the threshold

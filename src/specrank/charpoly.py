@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .algebra import (Element, ProjectionElement, _computed, identity,
-                      is_singular, norm, nonzero_spectrum, random_element,
-                      riesz_values, tau_of, zero)
+from .algebra import (Element, ProjectionElement, _computed, identity, norm,
+                      nonzero_spectrum, random_element, riesz_values, spectrum,
+                      tau_of, zero)
 from .config import DEFAULT_TOLS, Tolerances
 from .jsonio import complex_to_pair, pair_to_complex
 from .multiplicity import (MultiplicityRecord, UnstableMultiplicityError,
@@ -108,12 +108,14 @@ def char_poly_maximal(a: Element, tols: Tolerances = DEFAULT_TOLS) -> CharPoly:
     """Fast path for elements that assume their rank at the identity.
 
     Every nonzero spectral value then has multiplicity 1, and 0 enters with
-    multiplicity 1 exactly when the element is singular or the ambient
-    forces 0 into the spectrum.
+    multiplicity 1 exactly when it belongs to the spectrum: a block
+    eigenvalue within tau of 0, which ``spectrum`` snaps to exactly 0, or
+    the 0 that the infinite ambient adjoins.
     """
-    values = nonzero_spectrum(a, tols).values()
+    spec = spectrum(a, tols)
+    values = spec.nonzero().values()
     factors = [(v, 1) for v in values]
-    if is_singular(a, tols):
+    if 0 in spec.values():
         factors.append((0.0 + 0.0j, 1))
     return CharPoly(factors=tuple(factors), source_rank=len(values))
 
@@ -395,8 +397,7 @@ def approximation_sequence(a: Element, steps: int, lambda0: complex,
                              steps=tuple(out), completed=completed)
 
 
-def naive_det_demo(rng: np.random.Generator | None = None,
-                   tols: Tolerances = DEFAULT_TOLS) -> dict:
+def naive_det_demo(rng: np.random.Generator, tols: Tolerances = DEFAULT_TOLS) -> dict:
     """Show why exponentiating multiplicities at a shift is not a determinant.
 
     For the diagonal algebra C^3 and the element (1, 1, 0), the product
@@ -407,8 +408,6 @@ def naive_det_demo(rng: np.random.Generator | None = None,
     """
     from .algebra import AlgebraShape, FINITE
 
-    if rng is None:
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(0)))
     shape = AlgebraShape(dims=(1, 1, 1), ambient=FINITE)
     a = Element(shape, (np.array([[1.0]]), np.array([[1.0]]), np.array([[0.0]])))
 

@@ -12,7 +12,7 @@ import cmath
 import functools
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -42,104 +42,100 @@ class UsageError(Exception):
     pass
 
 
-@dataclass
-class Config:
-    """Campaign configuration; flags override the file, the file overrides
-    these defaults."""
+# Every campaign setting with its default: the config file's values are laid
+# over these, then the flags over the file.
+CAMPAIGN_DEFAULTS = {
+    "seed": 20240,
+    "shapes": None,
+    "ambient": "both",  # finite | infinite | both
+    "trials": {},
+    "tol_cluster": None,
+    "tol_residual": None,
+    "out": None,
+    "format": "json",
+}
 
-    seed: int = 20240
-    shapes: list[list[int]] | None = None
-    ambient: str = "both"  # finite | infinite | both
-    trials: dict = field(default_factory=dict)
-    tol_cluster: float | None = None
-    tol_residual: float | None = None
-    out: str | None = None
-    format: str = "json"
-
-    def validate(self):
-        # JSON gives exact int and float types; bool is rejected as a number
-        if type(self.seed) is not int or self.seed < 0:
-            raise UsageError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if self.ambient not in ("finite", "infinite", "both"):
-            raise UsageError(f"invalid ambient {self.ambient!r}")
-        if self.format not in ("json", "csv"):
-            raise UsageError(f"invalid format {self.format!r}")
-        if self.out is not None and not isinstance(self.out, str):
-            raise UsageError(f"out must be a path, got {self.out!r}")
-        if self.shapes is not None:
-            if not isinstance(self.shapes, list) or not self.shapes:
-                raise UsageError("shapes must be a nonempty list when given")
-            for dims in self.shapes:
-                if (not isinstance(dims, list) or not dims
-                        or any(type(d) is not int or d < 1 for d in dims)):
-                    raise UsageError(f"invalid shape {dims!r}")
-        for name, count in self.trials.items():
-            if name not in PROPERTY_NAMES:
-                raise UsageError(f"unknown property {name!r} in trials")
-            if type(count) is not int or count < 0:
-                raise UsageError("trial counts must be nonnegative integers")
-        for label, value in (("tol-cluster", self.tol_cluster),
-                             ("tol-residual", self.tol_residual)):
-            if value is not None and (type(value) not in (int, float)
-                                      or not 0 < value <= sys.float_info.max):
-                raise UsageError(f"--{label} must be a finite positive number, "
-                                 f"got {value!r}")
-
-    def tolerances(self) -> Tolerances:
-        overrides = {}
-        if self.tol_cluster is not None:
-            overrides["cluster_rel"] = self.tol_cluster
-        if self.tol_residual is not None:
-            overrides["residual"] = self.tol_residual
-        return replace(DEFAULT_TOLS, **overrides) if overrides else DEFAULT_TOLS
-
-    def settings(self) -> CampaignSettings:
-        ambients = {"finite": (FINITE,), "infinite": (INFINITE_SOCLE,),
-                    "both": (FINITE, INFINITE_SOCLE)}[self.ambient]
-        shapes = None if self.shapes is None else tuple(map(tuple, self.shapes))
-        policy = ShapePolicy(ambients=ambients, shapes=shapes)
-        trials = tuple(sorted(self.trials.items()))
-        return CampaignSettings(seed=self.seed, policy=policy,
-                                tols=self.tolerances(), trials=trials)
+# the ``Tolerances`` field each tolerance setting replaces
+_TOL_FIELDS = {"tol_cluster": "cluster_rel", "tol_residual": "residual"}
 
 
-def load_config(path: str | None, args: argparse.Namespace) -> Config:
-    cfg = Config()
+def _read_config(path: str) -> dict:
+    """The campaign settings a config file gives, with ``trials`` as a
+    mapping from property name to count."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise UsageError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise UsageError("config file must hold a JSON object")
+    values = {key: data[key] for key in CAMPAIGN_DEFAULTS if key in data}
+    if "trials" in values:
+        trials = values["trials"]
+        if isinstance(trials, int):
+            values["trials"] = dict.fromkeys(PROPERTY_NAMES, trials)
+        elif isinstance(trials, dict):
+            values["trials"] = dict(trials)
+        else:
+            raise UsageError("trials must be an integer or an object")
+    return values
+
+
+def _validate_campaign(cfg: dict):
+    # JSON gives exact int and float types; bool is rejected as a number
+    seed = cfg["seed"]
+    if type(seed) is not int or seed < 0:
+        raise UsageError(f"seed must be a nonnegative integer, got {seed!r}")
+    if cfg["ambient"] not in (FINITE, INFINITE_SOCLE, "both"):
+        raise UsageError(f"invalid ambient {cfg['ambient']!r}")
+    if cfg["format"] not in ("json", "csv"):
+        raise UsageError(f"invalid format {cfg['format']!r}")
+    if cfg["out"] is not None and not isinstance(cfg["out"], str):
+        raise UsageError(f"out must be a path, got {cfg['out']!r}")
+    shapes = cfg["shapes"]
+    if shapes is not None:
+        if not isinstance(shapes, list) or not shapes:
+            raise UsageError("shapes must be a nonempty list when given")
+        for dims in shapes:
+            if (not isinstance(dims, list) or not dims
+                    or any(type(d) is not int or d < 1 for d in dims)):
+                raise UsageError(f"invalid shape {dims!r}")
+    for name, count in cfg["trials"].items():
+        if name not in PROPERTY_NAMES:
+            raise UsageError(f"unknown property {name!r} in trials")
+        if type(count) is not int or count < 0:
+            raise UsageError("trial counts must be nonnegative integers")
+    for key in _TOL_FIELDS:
+        value = cfg[key]
+        if value is not None and (type(value) not in (int, float)
+                                  or not 0 < value <= sys.float_info.max):
+            raise UsageError(f"--{key.replace('_', '-')} must be a finite "
+                             f"positive number, got {value!r}")
+
+
+def load_config(path: str | None,
+                args: argparse.Namespace) -> tuple[CampaignSettings, str | None, str]:
+    """The campaign to run, the report path (None for stdout) and the report
+    format: flags override the file, the file overrides
+    ``CAMPAIGN_DEFAULTS``."""
+    cfg = dict(CAMPAIGN_DEFAULTS)
     if path:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config {path}: {exc}") from exc
-        if not isinstance(data, dict):
-            raise UsageError("config file must hold a JSON object")
-        for key in ("seed", "shapes", "ambient", "tol_cluster", "tol_residual",
-                    "out", "format"):
-            if key in data:
-                setattr(cfg, key, data[key])
-        if "trials" in data:
-            trials = data["trials"]
-            if isinstance(trials, int):
-                cfg.trials = {name: trials for name in PROPERTY_NAMES}
-            elif isinstance(trials, dict):
-                cfg.trials = dict(trials)
-            else:
-                raise UsageError("trials must be an integer or an object")
-    # flags override the file
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "trials", None) is not None:
-        cfg.trials = {name: args.trials for name in PROPERTY_NAMES}
-    if getattr(args, "tol_cluster", None) is not None:
-        cfg.tol_cluster = args.tol_cluster
-    if getattr(args, "tol_residual", None) is not None:
-        cfg.tol_residual = args.tol_residual
-    if getattr(args, "out", None) is not None:
-        cfg.out = args.out
-    if getattr(args, "fmt", None) is not None:
-        cfg.format = args.fmt
-    cfg.validate()
-    return cfg
+        cfg.update(_read_config(path))
+    flags = {key: getattr(args, key, None) for key in CAMPAIGN_DEFAULTS}
+    if flags["trials"] is not None:
+        flags["trials"] = dict.fromkeys(PROPERTY_NAMES, flags["trials"])
+    cfg.update((key, value) for key, value in flags.items() if value is not None)
+    _validate_campaign(cfg)
+    overrides = {field: cfg[key] for key, field in _TOL_FIELDS.items()
+                 if cfg[key] is not None}
+    tols = replace(DEFAULT_TOLS, **overrides) if overrides else DEFAULT_TOLS
+    ambient = cfg["ambient"]
+    ambients = (FINITE, INFINITE_SOCLE) if ambient == "both" else (ambient,)
+    shapes = None if cfg["shapes"] is None else tuple(map(tuple, cfg["shapes"]))
+    settings = CampaignSettings(
+        seed=cfg["seed"], policy=ShapePolicy(ambients=ambients, shapes=shapes),
+        tols=tols, trials=tuple(sorted(cfg["trials"].items())))
+    return settings, cfg["out"], cfg["format"]
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -153,14 +149,11 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def _parse_ints(text: str, what: str, least: int) -> tuple[int, ...]:
+def _parse_ints(text: str, what: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise UsageError(f"cannot parse {what} {text!r}") from exc
-    if any(v < least for v in values):
-        raise UsageError(f"{what} must be integers >= {least}")
-    return values
 
 
 def _parse_complex_list(text: str) -> list[complex]:
@@ -183,8 +176,6 @@ def _write_output(payload: str, out: str | None):
 
 def _poly_str(factors) -> str:
     def c(z: complex) -> str:
-        if z == 0:
-            return "0"
         if z.imag == 0:
             return f"{z.real:g}"
         return f"({z.real:g}{z.imag:+g}i)"
@@ -197,28 +188,22 @@ def _poly_str(factors) -> str:
 
 
 def cmd_gen(args) -> int:
-    dims = _parse_ints(args.dims, "dims", 1)
-    ambient = {"finite": FINITE, "infinite": INFINITE_SOCLE}[args.ambient]
-    shape = AlgebraShape(dims=dims, ambient=ambient)
+    """The constructors check every value; a ``ValueError`` from one is a
+    usage error with its message."""
+    dims = _parse_ints(args.dims, "dims")
     rng = _rng(args.seed)
     if args.ranks is not None and args.maximal_eigs is not None:
         raise UsageError("choose one of --ranks / --maximal-eigs")
-    if args.ranks is not None:
-        ranks = _parse_ints(args.ranks, "ranks", 0)
-        if len(ranks) != len(dims):
-            raise UsageError("one rank per block required")
-        if any(r > d for r, d in zip(ranks, dims)):
-            raise UsageError("ranks must satisfy 0 <= rank <= block dim")
-        element = (zero(shape) if sum(ranks) == 0
-                   else random_socle_element(shape, ranks, rng))
-    elif args.maximal_eigs is not None:
-        eigs = _parse_complex_list(args.maximal_eigs)
-        try:
-            element = make_maximal(shape, eigs, rng)
-        except ValueError as exc:
-            raise UsageError(f"invalid --maximal-eigs: {exc}") from exc
-    else:
-        element = random_element(shape, rng)
+    try:
+        shape = AlgebraShape(dims=dims, ambient=args.ambient)
+        if args.ranks is not None:
+            element = random_socle_element(shape, _parse_ints(args.ranks, "ranks"), rng)
+        elif args.maximal_eigs is not None:
+            element = make_maximal(shape, _parse_complex_list(args.maximal_eigs), rng)
+        else:
+            element = random_element(shape, rng)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     _write_output(json.dumps(element.to_json(), indent=2), args.out)
     return EXIT_OK
 
@@ -268,10 +253,10 @@ def _report_lines(report: dict) -> str:
 
 
 def cmd_campaign(args) -> int:
-    cfg = load_config(args.config, args)
-    report = run_campaign(cfg.settings())
-    payload = report.to_json_str() if cfg.format == "json" else report.to_csv()
-    _write_output(payload, cfg.out)
+    settings, out, fmt = load_config(args.config, args)
+    report = run_campaign(settings)
+    payload = report.to_json_str() if fmt == "json" else report.to_csv()
+    _write_output(payload, out)
     summary = "; ".join(f"{p.name}: {p.pass_count}/{p.trials} pass"
                         for p in report.properties)
     print(f"campaign seed={report.seed} failures={report.total_failures} "
@@ -391,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_camp.add_argument("--seed", type=_seed)
     p_camp.add_argument("--trials", type=int, help="trial count for every property")
     p_camp.add_argument("--out")
-    p_camp.add_argument("--format", dest="fmt", choices=("json", "csv"))
+    p_camp.add_argument("--format", choices=("json", "csv"))
     p_camp.add_argument("--tol-cluster", dest="tol_cluster", type=float)
     p_camp.add_argument("--tol-residual", dest="tol_residual", type=float)
     p_camp.set_defaults(func=cmd_campaign)

@@ -1,6 +1,6 @@
 """Centralized numeric tolerances and sampling policy.
 
-The thresholds a campaign can set live in one :class:`Tolerances` record:
+The numeric thresholds live in one :class:`Tolerances` record:
 distinctness of spectral values, rank cutoffs and the identity checks. Every
 other setting, the Riesz contour's among them, is a module constant here,
 read at call time.

@@ -28,11 +28,10 @@ def matrix_to_rows(m: np.ndarray) -> list[list[list[float]]]:
 
 
 def rows_to_matrix(rows) -> np.ndarray:
-    m = np.array([[pair_to_complex(p) for p in row] for row in rows],
-                 dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return m
+    """Rows of ``[re, im]`` pairs as a complex array; the ``Element`` it
+    becomes a block of checks that it is square."""
+    return np.array([[pair_to_complex(p) for p in row] for row in rows],
+                    dtype=np.complex128)
 
 
 def dumps_canonical(obj) -> str:

@@ -277,16 +277,16 @@ def mat_rank(m, tol: float):
     A ``(k, n, n)`` stack gives a ``(k,)`` array of ranks from one ``svd``
     call, each cut at its own matrix's ``s_max``; the singular values of
     each row are bitwise those of the matrix alone, so each rank is the
-    one its matrix gets alone.
+    one its matrix gets alone. A matrix is the stack of one, and gives its
+    rank as an ``int``.
     """
     if tol <= 0:
         raise ValueError("rank tolerance must be positive")
-    if np.ndim(m) == 3:
-        s = np.linalg.svd(_square(m, 3), compute_uv=False)
-        return np.sum(s > tol * np.maximum(s[:, :1], 1.0), axis=1)
-    s = np.linalg.svd(as_matrix(m), compute_uv=False)
-    cutoff = tol * max(float(s[0]) if s.size else 0.0, 1.0)
-    return int(np.sum(s > cutoff))
+    stacked = np.ndim(m) == 3
+    s = np.linalg.svd(_square(m, 3) if stacked else as_matrix(m)[None],
+                      compute_uv=False)
+    ranks = np.sum(s > tol * np.maximum(s[:, :1], 1.0), axis=1)
+    return ranks if stacked else int(ranks[0])
 
 
 def classical_charpoly(m) -> np.ndarray:

@@ -93,7 +93,7 @@ def rank_oracle(a: Element, tols: Tolerances = DEFAULT_TOLS) -> int:
     return sum(mat_rank(b, tols.rank_rel) for b in a.blocks)
 
 
-def spectral_rank(a: Element, rng: np.random.Generator | None = None,
+def spectral_rank(a: Element, rng: np.random.Generator,
                   tols: Tolerances = DEFAULT_TOLS) -> RankCertificate:
     """Certify the rank of ``a`` by sampling Gaussian witnesses.
 

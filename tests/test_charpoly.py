@@ -145,6 +145,22 @@ class TestCharPolyConstruction:
         for (r1, m1), (r2, m2) in zip(fast.factors, full.factors):
             assert m1 == m2 and abs(r1 - r2) < 1e-9
 
+    @pytest.mark.parametrize("ambient", [FINITE, INFINITE_SOCLE])
+    def test_maximal_fast_path_has_root_zero_exactly_when_singular(self, ambient):
+        # 0 is a root once, exactly when a block is rank-deficient or the
+        # ambient adjoins 0: the rule by block ranks, apart from the spectrum
+        rng = make_rng(31)
+        shape = AlgebraShape(dims=(3, 2), ambient=ambient)
+        elements = [diag_element(shape, [1.0, 2.0, 1e-12], [3.0, 4.0]),
+                    diag_element(shape, [1.0, 2.0, 5.0], [3.0, 4.0])]
+        for count in range(1, shape.total_dim + 1):
+            eigs = [complex(k + 1, k % 2) for k in range(count)]
+            elements.append(make_maximal(shape, eigs, rng))
+        for a in elements:
+            singular = ambient == INFINITE_SOCLE or rank_oracle(a) < shape.total_dim
+            roots = [root for root, _ in char_poly_maximal(a).factors]
+            assert roots.count(0) == int(singular)
+
 
 class TestEvaluation:
     def test_scalar_value_frozen(self, rng):
@@ -530,7 +546,7 @@ class TestApproximationSequence:
 
 class TestNaiveDetDemo:
     def test_frozen_values(self):
-        report = naive_det_demo()
+        report = naive_det_demo(make_rng(0))
         assert {tuple(e["value"]): e["m"] for e in report["element_spectrum"]} \
             == {(0.0, 0.0): 1, (1.0, 0.0): 2}
         assert report["det_a_minus_2id"] == [-2.0, 0.0]

@@ -344,21 +344,47 @@ BAD_INPUTS = {
                                        "--tol-residual", "1e400"],
     "config_tol_cluster_infinity": {"tol_cluster": float("inf"), "trials": 1},
     "gen_maximal_eig_inf": ["gen", "--dims", "2", "--maximal-eigs", "inf"],
+    "config_not_object": "[1, 2]",
+    "config_not_json": '{"seed": ',
+    "config_ambient_unknown": {"ambient": "sideways", "trials": 1},
+    "config_ambient_not_string": {"ambient": ["finite"], "trials": 1},
+    "config_format_unknown": {"format": "xml", "trials": 1},
+    "config_trials_not_count": {"trials": "many"},
+    "config_trials_not_count_under_flag": ["campaign", "--config", {"trials": "many"},
+                                           "--trials", "1"],
+    "gen_dims_zero": ["gen", "--dims", "0"],
+    "gen_dims_negative": ["gen", "--dims", "2,-1"],
+    "gen_ranks_wrong_count": ["gen", "--dims", "2,2", "--ranks", "1"],
+    "gen_rank_above_dim": ["gen", "--dims", "3,2", "--ranks", "1,3"],
+    "gen_rank_negative": ["gen", "--dims", "2", "--ranks", "-1"],
+    "gen_maximal_eigs_not_complex": ["gen", "--dims", "2", "--maximal-eigs", "1,x"],
+    "check_block_not_square": ["check", {"dims": [2], "blocks": [
+        [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]]]}],
 }
 
 
 @pytest.mark.parametrize("case", BAD_INPUTS)
 def test_bad_seeds_and_values_are_usage_errors(tmp_path, capsys, case):
-    """Bad seeds, list entries and config values exit 2 with an error line
-    instead of escaping ``main`` as a ValueError or TypeError."""
+    """Bad seeds, list entries, config values and element files exit 2 with
+    an error line instead of escaping ``main`` as a ValueError or TypeError.
+
+    A dict is a config file's JSON and a string its raw text; in an argument
+    list, a dict is written to a file and its path passed.
+    """
     spec = BAD_INPUTS[case]
-    if isinstance(spec, dict):
+    if isinstance(spec, (dict, str)):
         config_file = tmp_path / "config.json"
-        config_file.write_text(json.dumps(spec))
+        config_file.write_text(spec if isinstance(spec, str) else json.dumps(spec))
         argv = ["campaign", "--config", str(config_file)]
     else:
         element = write_element_file(tmp_path / "a.json", [1.0, 0.0])
-        argv = [str(element) if arg == "{element}" else arg for arg in spec]
+        argv = []
+        for i, arg in enumerate(spec):
+            if isinstance(arg, dict):
+                path = tmp_path / f"arg{i}.json"
+                path.write_text(json.dumps(arg))
+                arg = str(path)
+            argv.append(str(element) if arg == "{element}" else arg)
         argv += ["--out", str(tmp_path / "out")]
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err

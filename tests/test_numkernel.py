@@ -118,6 +118,13 @@ class TestCluster:
                 assert abs(reps[i] - reps[j]) > tol
 
 
+def reference_rank(m, tol):
+    """The rank of one matrix by the 2-D formula, apart from ``mat_rank``'s
+    stacked path."""
+    s = np.linalg.svd(np.asarray(m, dtype=np.complex128), compute_uv=False)
+    return int(np.sum(s > tol * max(float(s[0]), 1.0)))
+
+
 class TestMatRank:
     def test_zero(self):
         assert mat_rank(np.zeros((3, 3)), 1e-8) == 0
@@ -130,9 +137,21 @@ class TestMatRank:
 
     def test_matrix_gives_python_int_from_its_own_cutoff(self):
         m = np.diag([100.0, 5e-7, 0.0])
-        s = np.linalg.svd(m, compute_uv=False)
         r = mat_rank(m, 1e-8)
-        assert type(r) is int and r == int(np.sum(s > 1e-8 * max(s[0], 1.0))) == 1
+        assert type(r) is int and r == reference_rank(m, 1e-8) == 1
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-3])
+    def test_matrix_matches_the_2d_formula(self, tol):
+        rng = make_rng(700)
+        for n in range(1, 9):
+            for r in range(n + 1):
+                left = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
+                right = rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n))
+                m = left @ right
+                for case in (m, m * np.logspace(-10, 10, n), m.T, m.real.copy(),
+                             np.zeros((n, n))):
+                    got = mat_rank(case, tol)
+                    assert type(got) is int and got == reference_rank(case, tol)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_stack_matches_matrix_by_matrix(self, n):
@@ -145,7 +164,7 @@ class TestMatRank:
                 mats.append(scale * (left @ right))
         ranks = mat_rank(np.array(mats), 1e-8)
         assert ranks.shape == (len(mats),)
-        assert ranks.tolist() == [mat_rank(m, 1e-8) for m in mats]
+        assert ranks.tolist() == [reference_rank(m, 1e-8) for m in mats]
         assert sorted(set(ranks.tolist())) == list(range(n + 1))
 
     def test_stack_cuts_each_matrix_at_its_own_scale(self):
