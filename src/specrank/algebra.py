@@ -19,7 +19,7 @@ from .config import DEFAULT_TOLS, Tolerances
 from .jsonio import matrix_to_rows, rows_to_matrix
 from .numkernel import (ClusteredSpectrum, ContourError, NonFiniteError,
                         SpecrankError, as_matrix, cluster, eig, frobenius,
-                        mat_rank, riesz_projection, settle)
+                        mat_rank, riesz_projection)
 
 FINITE = "finite"
 INFINITE_SOCLE = "infinite"
@@ -28,10 +28,6 @@ _AMBIENTS = (FINITE, INFINITE_SOCLE)
 
 class ShapeMismatchError(ValueError):
     """Raised when two elements do not live in the same algebra."""
-
-
-class NotInvertibleError(Exception):
-    """Raised when inversion is requested for a non-invertible element."""
 
 
 class ViewError(SpecrankError):
@@ -46,8 +42,11 @@ class AlgebraShape:
     ambient: str = FINITE
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        object.__setattr__(self, "dims", dims)
+        dims = tuple(self.dims)
+        if any(isinstance(d, bool) or not isinstance(d, (int, np.integer)) for d in dims):
+            # a float is not truncated to a dimension, and bool is not a number
+            raise ValueError(f"block dimensions must be integers, got {list(dims)!r}")
+        object.__setattr__(self, "dims", tuple(int(d) for d in dims))
         if len(dims) < 1 or any(d < 1 for d in dims):
             raise ValueError("block dimensions must be positive, one or more blocks")
         if self.ambient not in _AMBIENTS:
@@ -137,8 +136,7 @@ class Element:
 
     @staticmethod
     def from_json(data: dict) -> "Element":
-        shape = AlgebraShape(dims=tuple(int(d) for d in data["dims"]),
-                             ambient=data.get("ambient", FINITE))
+        shape = AlgebraShape(dims=data["dims"], ambient=data.get("ambient", FINITE))
         blocks = tuple(rows_to_matrix(rows) for rows in data["blocks"])
         return Element(shape, blocks)
 
@@ -178,28 +176,6 @@ def norm(a: Element) -> float:
     return value
 
 
-def allclose(a: Element, b: Element) -> bool:
-    a._check_same(b)
-    return norm(a - b) <= 1e-12 * (1.0 + norm(a) + norm(b))
-
-
-def inverse(a: Element, tols: Tolerances = DEFAULT_TOLS) -> Element:
-    """Blockwise inverse; only finite-ambient elements can be invertible."""
-    if a.shape.is_infinite:
-        raise NotInvertibleError("no element of the infinite ambient is invertible")
-    conds = []
-    for b, d in zip(a.blocks, a.shape.dims):
-        if mat_rank(b, tols.rank_rel) != d:
-            raise NotInvertibleError("singular block")
-        conds.append(float(np.linalg.cond(b)))
-    inv = Element(a.shape, tuple(np.linalg.inv(b) for b in a.blocks))
-    defect = norm(a * inv - identity(a.shape))
-    if defect > tols.inverse_rel * max(conds):
-        raise NotInvertibleError(
-            f"inverse verification failed: residual {defect:.3e}")
-    return inv
-
-
 def tau_of(a: Element, tols: Tolerances = DEFAULT_TOLS) -> float:
     """Distinctness tolerance for ``a`` from its spectral radius estimate:
     the tolerance its cached ``spectrum`` was clustered at."""
@@ -218,22 +194,16 @@ def spectrum(a: Element, tols: Tolerances = DEFAULT_TOLS) -> ClusteredSpectrum:
     spec = a._spectra.get(tols)
     if spec is None:
         values = np.concatenate(a.block_eigs())
-        spec = a._spectra[tols] = _spectrum_of(values, a.shape, tols)
+        spec = a._spectra[tols] = _spectra_of(values[None], a.shape, tols)[0]
     return spec
-
-
-def _spectrum_of(values: np.ndarray, shape: AlgebraShape,
-                 tols: Tolerances) -> ClusteredSpectrum:
-    """``spectrum`` of an element of ``shape`` whose block eigenvalues,
-    concatenated, are ``values``."""
-    return _spectra_of(values[None], shape, tols)[0]
 
 
 def _spectra_of(rows: np.ndarray, shape: AlgebraShape,
                 tols: Tolerances) -> list[ClusteredSpectrum]:
-    """``_spectrum_of`` for each row of ``rows``, with one ``cluster`` call
-    for all of them. A failing row raises the error its own
-    ``_spectrum_of`` would, and only after the rows before it succeed."""
+    """``spectrum`` of each element of ``shape`` whose block eigenvalues,
+    concatenated, are a row of ``rows``, with one ``cluster`` call for all
+    of them. A failing row raises the error it raises alone, and only after
+    the rows before it succeed."""
     taus = []
     for rho in np.abs(rows).max(axis=1, initial=0.0).tolist():
         if not math.isfinite(rho):
@@ -299,10 +269,6 @@ class ProjectionElement:
         if defect > config.PROJECTION_IDEM * (1.0 + norm(p)):
             raise ValueError(f"not a projection: ||p^2 - p|| = {defect:.3e}")
 
-    def __add__(self, other: "ProjectionElement") -> "ProjectionElement":
-        # valid for mutually orthogonal projections; construction re-validates
-        return ProjectionElement(self.element + other.element)
-
 
 def riesz_values(a: Element, centers, radius: float) -> list:
     """Per-block spectral projectors of ``a`` for the disks of one radius
@@ -316,11 +282,6 @@ def riesz_values(a: Element, centers, radius: float) -> list:
                  for b, values in zip(a.blocks, a.block_eigs())]
     return [next((p for p in blocks if isinstance(p, ContourError)), blocks)
             for blocks in zip(*per_block)]
-
-
-def riesz_element(a: Element, center: complex, radius: float) -> ProjectionElement:
-    """Blockwise spectral projector of ``a`` for the disk around ``center``."""
-    return ProjectionElement(Element(a.shape, settle(riesz_values(a, [center], radius)[0])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,9 +303,6 @@ class CompressedView:
     def shape(self) -> AlgebraShape:
         return AlgebraShape(dims=tuple(self.bases[i].shape[1] for i in range(len(self.bases))),
                             ambient=FINITE)
-
-    def identity(self) -> Element:
-        return identity(self.shape)
 
     def compress(self, a: Element) -> Element:
         """Matrix of ``p a p`` restricted to range(p), in the stored bases."""

@@ -21,7 +21,7 @@ from .algebra import (Element, ProjectionElement, _computed, identity, norm,
                       nonzero_spectrum, random_element, riesz_values, spectrum,
                       tau_of, zero)
 from .config import DEFAULT_TOLS, Tolerances
-from .jsonio import complex_to_pair, pair_to_complex
+from .jsonio import complex_to_pair
 from .multiplicity import (MultiplicityRecord, UnstableMultiplicityError,
                            multiplicities, spectral_gap)
 from .numkernel import (NonFiniteError, SpecrankError, frobenius_stack, mat_rank,
@@ -75,12 +75,6 @@ class CharPoly:
         return {"factors": [{"root": complex_to_pair(r), "mult": int(m)}
                             for r, m in self.factors],
                 "source_rank": self.source_rank}
-
-    @staticmethod
-    def from_json(data: dict) -> "CharPoly":
-        factors = tuple((pair_to_complex(f["root"]), int(f["mult"]))
-                        for f in data["factors"])
-        return CharPoly(factors=factors, source_rank=int(data["source_rank"]))
 
 
 def char_poly(a: Element, rng: np.random.Generator, certificate: RankCertificate,

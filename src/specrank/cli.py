@@ -233,9 +233,11 @@ def cmd_check(args) -> int:
     try:
         with open(args.element, "r", encoding="utf-8") as fh:
             element = Element.from_json(json.load(fh))
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, OverflowError, TypeError,
+            ValueError) as exc:
         # TypeError: a JSON value of the wrong kind, such as a top-level list
-        # or a plain number where a [re, im] pair belongs
+        # or a plain number where a [re, im] pair belongs; OverflowError: an
+        # integer entry beyond the float range
         raise UsageError(f"cannot read element file: {exc}") from exc
     rng = _rng(args.seed)
     report = _analyze(element, rng, DEFAULT_TOLS)

@@ -11,16 +11,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+# Absolute floor of the distinctness tolerance ``Tolerances.tau``.
+CLUSTER_FLOOR = 1e-9
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Numeric thresholds shared across all modules.
 
-    The clustering tolerance is scale-invariant: two spectral values are
-    considered distinct when they are more than ``tau(rho)`` apart, where
-    ``rho`` is a spectral radius estimate for the element at hand.
+    Two spectral values are considered distinct when they are more than
+    ``tau(rho) = max(CLUSTER_FLOOR, cluster_rel * rho)`` apart, where ``rho``
+    is a spectral radius estimate for the element at hand. So ``tau`` is
+    relative to ``rho`` only at or above ``CLUSTER_FLOOR / cluster_rel``
+    (0.1 by default); below that it is the absolute ``CLUSTER_FLOOR``.
     """
 
-    cluster_floor: float = 1e-9
     cluster_rel: float = 1e-8
     # singular values below rank_rel * max(s_max, 1) count as zero
     rank_rel: float = 1e-8
@@ -28,12 +33,10 @@ class Tolerances:
     residual: float = 1e-6
     # relative tolerance for determinant/trace identities
     identity_rel: float = 1e-8
-    # inverse acceptance: ||a a^-1 - 1|| <= inverse_rel * cond estimate
-    inverse_rel: float = 1e-8
 
     def tau(self, rho: float) -> float:
         """Distinctness tolerance for spectra with spectral radius ``rho``."""
-        return max(self.cluster_floor, self.cluster_rel * rho)
+        return max(CLUSTER_FLOOR, self.cluster_rel * rho)
 
 
 DEFAULT_TOLS = Tolerances()

@@ -17,9 +17,15 @@ def complex_to_pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
+_NUMBERS = frozenset((int, float))  # a bool is not a JSON number
+
+
 def pair_to_complex(pair) -> complex:
+    """A ``[re, im]`` pair of JSON numbers, not bools or strings, as a complex."""
     re, im = pair
-    return complex(float(re), float(im))
+    if type(re) in _NUMBERS and type(im) in _NUMBERS:
+        return complex(re, im)
+    raise ValueError(f"expected a [re, im] pair of numbers, got {pair!r}")
 
 
 def matrix_to_rows(m: np.ndarray) -> list[list[list[float]]]:

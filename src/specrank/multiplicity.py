@@ -174,17 +174,6 @@ def _spectral_value(a: Element, lam: complex, tols: Tolerances):
     return spec, nearest
 
 
-def multiplicity(a: Element, lam: complex, rng: np.random.Generator,
-                 certificate: RankCertificate, with_riesz: bool,
-                 tols: Tolerances = DEFAULT_TOLS) -> MultiplicityRecord:
-    """Multiplicity of ``a`` at the spectral value nearest ``lam``."""
-    _, nearest = _spectral_value(a, lam, tols)
-    for rec in multiplicities(a, rng, certificate, with_riesz, tols):
-        if rec.value == nearest:
-            return rec
-    raise SpectrumDomainError(f"no record produced for {lam}")  # pragma: no cover
-
-
 def multiplicity_riesz(a: Element, lam: complex,
                        tols: Tolerances = DEFAULT_TOLS) -> int:
     """Rank of the spectral projector around nonzero ``lam``: summed traces

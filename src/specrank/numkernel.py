@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .jsonio import complex_to_pair, pair_to_complex
+from .jsonio import complex_to_pair
 
 
 class SpecrankError(Exception):
@@ -119,12 +119,6 @@ class ClusteredSpectrum:
     def values(self) -> list[complex]:
         return [v for v, _ in self.points]
 
-    def counts(self) -> list[int]:
-        return [c for _, c in self.points]
-
-    def total(self) -> int:
-        return sum(c for _, c in self.points)
-
     def nonzero(self) -> "ClusteredSpectrum":
         """The points of modulus above ``tol``."""
         return ClusteredSpectrum(
@@ -149,11 +143,6 @@ class ClusteredSpectrum:
     def to_json(self) -> list[dict]:
         return [{"value": complex_to_pair(v), "count": int(c)} for v, c in self.points]
 
-    @staticmethod
-    def from_json(items, tol: float) -> "ClusteredSpectrum":
-        pts = tuple((pair_to_complex(d["value"]), int(d["count"])) for d in items)
-        return ClusteredSpectrum(points=pts, tol=float(tol))
-
 
 # rows are clustered in chunks of at most this many value pairs (at least one
 # row each), which bounds the pair arrays at a few MB per row of a few
@@ -161,29 +150,23 @@ class ClusteredSpectrum:
 _PAIR_BUDGET = 1 << 16
 
 
-def cluster(values, tol) -> ClusteredSpectrum | list[ClusteredSpectrum]:
-    """Single-linkage clustering of complex values at tolerance ``tol``.
+def cluster(values, tols) -> list[ClusteredSpectrum]:
+    """Single-linkage clustering of each row of a ``(k, N)`` stack of
+    complex values, row ``i`` at tolerance ``tols[i]``: one
+    ``ClusteredSpectrum`` per row.
 
     Each cluster is represented by its count-weighted mean. Representatives
-    are re-merged until they are pairwise more than ``tol`` apart, so the
-    distinctness invariant holds even for chained clusters.
+    are re-merged until they are pairwise more than the tolerance apart, so
+    the distinctness invariant holds even for chained clusters.
 
-    A ``(k, N)`` stack of values with a sequence of ``k`` tolerances gives
-    one ``ClusteredSpectrum`` per row: the pair distances of a chunk of rows
-    are one ``(rows, N, N)`` array. Any other input with a scalar ``tol`` is
-    flattened and clustered as the ``k = 1`` case. Clusters are numbered by
-    their lowest index and the means summed in input order, so the result
-    does not depend on how many rows share the call. A row whose pair
-    distance or cluster mean overflows raises ``NonFiniteError``; with
-    several such rows, the first one's error is raised.
+    The pair distances of a chunk of rows are one ``(rows, N, N)`` array.
+    Clusters are numbered by their lowest index and the means summed in
+    input order, so the result does not depend on how many rows share the
+    call. A row whose pair distance or cluster mean overflows raises
+    ``NonFiniteError``; with several such rows, the first one's error is
+    raised.
     """
-    if not isinstance(tol, (list, tuple, np.ndarray)):
-        rows = np.asarray(values, dtype=np.complex128).reshape(1, -1)
-        return _cluster_rows(rows, [tol])[0]
-    return _cluster_rows(np.asarray(values, dtype=np.complex128), list(tol))
-
-
-def _cluster_rows(rows: np.ndarray, tols: list) -> list[ClusteredSpectrum]:
+    rows, tols = np.asarray(values, dtype=np.complex128), list(tols)
     if rows.ndim != 2 or len(rows) != len(tols):
         raise ValueError(f"expected one tolerance per row, got {len(tols)} "
                          f"for values of shape {rows.shape}")
@@ -301,8 +284,11 @@ def classical_charpoly(m) -> np.ndarray:
     return ((-1.0) ** n) * np.poly(values)
 
 
-def riesz_projection(m, center, radius: float, values=None):
-    """Spectral projector of ``m`` for the disk ``|z - center| < radius``.
+# overflow is detected and rejected per contour, so it does not warn
+@np.errstate(over="ignore", invalid="ignore")
+def riesz_projection(m, centers, radius: float, values) -> list:
+    """Spectral projectors of ``m`` for the disks ``|z - center| < radius``,
+    one per center of ``centers``.
 
     With ``B = m - center`` and ``r = radius``, the transform ``T = (B -
     r)^-1 (B + r)`` maps the disk to the left half-plane, so the projector
@@ -320,36 +306,19 @@ def riesz_projection(m, center, radius: float, values=None):
     within ``config.PROJECTION_TRACE`` of an integer (the enclosed algebraic
     multiplicity); otherwise the contour is rejected as too close to the
     spectrum. Each setting is read when the call is made. ``values`` are the
-    eigenvalues of ``m`` for the clearance check when the caller already has
-    them; they are computed otherwise.
+    eigenvalues of ``m``, for the clearance check.
 
-    ``center`` may be a sequence of ``k`` centers. Their contours are then
-    one ``(k, n, n)`` stack: LAPACK and the elementwise steps treat each
-    matrix on its own, and each stops on its own test, so a stacked
-    projector is bit for bit the one computed alone. The result is a list
-    holding, per center, the projector or the ``ContourError`` it was
-    rejected with, unraised, so that a caller walking the centers raises
-    the error it meets first.
+    The contours of ``k`` centers are one ``(k, n, n)`` stack: LAPACK and
+    the elementwise steps treat each matrix on its own, and each stops on
+    its own test, so a projector is bit for bit the one its center gets
+    alone. The result is a list holding, per center, the projector or the
+    ``ContourError`` it was rejected with, unraised, so that a caller
+    walking the centers raises the error it meets first.
     """
     a = as_matrix(m)
     if radius <= 0:
         raise ValueError("contour radius must be positive")
-    values = eig(a) if values is None else values
-    one = np.ndim(center) == 0
-    # overflow is detected and rejected per contour, so it does not warn
-    with np.errstate(over="ignore", invalid="ignore"):
-        outcomes = _riesz_stack(a, [center] if one else list(center), radius, values)
-    return settle(outcomes[0]) if one else outcomes
-
-
-def settle(outcome):
-    """Raise ``outcome`` if it is an exception; return it otherwise."""
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
-
-
-def _riesz_stack(a, centers, radius, values) -> list:
+    centers = list(centers)
     clearance = config.CONTOUR_CLEARANCE
     outcomes: list = [None] * len(centers)
     live = list(range(len(centers)))
@@ -381,8 +350,8 @@ def _riesz_stack(a, centers, radius, values) -> list:
     for _ in range(max_steps):
         if not live:
             break
-        inverse, singular = _each_matrix(np.linalg.inv, x)
-        step = x + inverse
+        inv, singular = _each_matrix(np.linalg.inv, x)
+        step = x + inv
         step *= 0.5
         moved = np.abs(step - x).max(axis=(1, 2)).tolist()
         largest = np.abs(step).max(axis=(1, 2)).tolist()
@@ -410,6 +379,13 @@ def _riesz_stack(a, centers, radius, values) -> list:
         for i, outcome in zip(done, _checked_projectors((eye - signs) * 0.5)):
             outcomes[i] = outcome
     return outcomes
+
+
+def settle(outcome):
+    """Raise ``outcome`` if it is an exception; return it otherwise."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def _rejected(outcomes: list, live: list, flags: list, msg: str, *stacks) -> tuple:

@@ -139,14 +139,6 @@ def spectral_rank(a: Element, rng: np.random.Generator,
                            fragile=fragile)
 
 
-def assumes_rank_at(a: Element, x: Element,
-                    certificate: RankCertificate,
-                    tols: Tolerances = DEFAULT_TOLS) -> bool:
-    """True when ``x*a`` shows as many distinct nonzero values as rank(a)."""
-    require_certified(certificate)
-    return count_nonzero_spectrum(x * a, tols) == certificate.rank
-
-
 def is_maximal(a: Element, certificate: RankCertificate,
                tols: Tolerances = DEFAULT_TOLS) -> bool:
     """True when ``a`` assumes its rank at the identity: its own count of

@@ -8,15 +8,14 @@ from hypothesis import strategies as st
 
 import specrank.algebra as algebra_module
 from specrank.algebra import (FINITE, INFINITE_SOCLE, AlgebraShape, Element,
-                              NotInvertibleError, ProjectionElement,
-                              ShapeMismatchError, allclose, compressed_view,
-                              count_nonzero_spectrum, ginibre, identity,
-                              inverse, nonzero_spectrum, norm, random_element,
-                              random_socle_element, riesz_element, spectrum,
+                              ProjectionElement, ShapeMismatchError,
+                              compressed_view, count_nonzero_spectrum, ginibre,
+                              identity, nonzero_spectrum, norm, random_element,
+                              random_socle_element, riesz_values, spectrum,
                               tau_of, zero)
 from specrank.config import DEFAULT_TOLS
 from specrank.multiplicity import multiplicity_riesz, spectral_gap
-from specrank.numkernel import NonFiniteError, eig, hausdorff, mat_rank
+from specrank.numkernel import NonFiniteError, eig, hausdorff, mat_rank, settle
 from conftest import make_rng
 
 M3 = AlgebraShape(dims=(3,))
@@ -27,6 +26,14 @@ C3 = AlgebraShape(dims=(1, 1, 1))
 def diag_element(shape, *block_diags):
     return Element(shape, tuple(np.diag(np.asarray(d, dtype=np.complex128))
                                 for d in block_diags))
+
+
+def close(a, b):
+    return norm(a - b) <= 1e-12 * (1.0 + norm(a) + norm(b))
+
+
+def counts(spec):
+    return [c for _, c in spec.points]
 
 
 class TestShapeAndElement:
@@ -55,8 +62,8 @@ class TestShapeAndElement:
 class TestArithmetic:
     def test_identity_is_neutral(self, rng):
         a = random_element(M2_M1, rng)
-        assert allclose(identity(M2_M1) * a, a)
-        assert allclose(a * identity(M2_M1), a)
+        assert close(identity(M2_M1) * a, a)
+        assert close(a * identity(M2_M1), a)
 
     def test_additive_inverse(self, rng):
         a = random_element(M2_M1, rng)
@@ -72,8 +79,8 @@ class TestArithmetic:
 
     def test_scalar_multiplication(self, rng):
         a = random_element(M3, rng)
-        assert allclose(2.0 * a, a + a)
-        assert allclose(a * 2.0, a + a)
+        assert close(2.0 * a, a + a)
+        assert close(a * 2.0, a + a)
 
     def test_results_are_read_only_and_own_their_blocks(self, rng):
         a, b = random_element(M2_M1, rng), random_element(M2_M1, rng)
@@ -84,38 +91,16 @@ class TestArithmetic:
                 assert not any(np.shares_memory(block, o) for o in operands)
 
 
-class TestInverse:
-    def test_identity(self):
-        assert allclose(inverse(identity(M2_M1)), identity(M2_M1))
-
-    def test_scalar_multiple(self):
-        assert allclose(inverse(2.0 * identity(M3)), 0.5 * identity(M3))
-
-    def test_diagonal_blocks(self):
-        a = diag_element(M2_M1, [1.0, 2.0], [3.0])
-        expected = diag_element(M2_M1, [1.0, 0.5], [1.0 / 3.0])
-        assert allclose(inverse(a), expected)
-
-    def test_singular_block_rejected(self):
-        with pytest.raises(NotInvertibleError):
-            inverse(diag_element(M2_M1, [1.0, 0.0], [3.0]))
-
-    def test_infinite_ambient_never_invertible(self):
-        shape = AlgebraShape(dims=(2,), ambient=INFINITE_SOCLE)
-        with pytest.raises(NotInvertibleError):
-            inverse(identity(shape))
-
-
 class TestSpectrum:
     def test_rank_one_projection_matrix(self):
         spec = spectrum(diag_element(M3, [1.0, 0.0, 0.0]))
         assert spec.values() == [0.0, 1.0]
-        assert spec.counts() == [2, 1]
+        assert counts(spec) == [2, 1]
 
     def test_c3_example(self):
         spec = spectrum(diag_element(C3, [1.0], [1.0], [0.0]))
         assert spec.values() == [0.0, 1.0]
-        assert spec.counts() == [1, 2]
+        assert counts(spec) == [1, 2]
 
     def test_infinite_ambient_forces_zero(self, rng):
         shape = AlgebraShape(dims=(2, 2), ambient=INFINITE_SOCLE)
@@ -169,7 +154,7 @@ class TestCompression:
     def test_identity_of_view_is_compression_of_projection(self):
         p = ProjectionElement(diag_element(M2_M1, [1.0, 0.0], [1.0]))
         view = compressed_view(p)
-        assert norm(view.compress(p.element) - view.identity()) <= 1e-10
+        assert norm(view.compress(p.element) - identity(view.shape)) <= 1e-10
 
     @pytest.mark.parametrize("r", [1, 3, 5])
     def test_oblique_projector_basis(self, r):
@@ -184,13 +169,14 @@ class TestCompression:
         assert view.shape.dims == (r,)
         np.testing.assert_allclose(basis.conj().T @ basis, np.eye(r), atol=1e-12)
         np.testing.assert_allclose(block @ basis, basis, atol=1e-12)
-        assert norm(view.compress(p.element) - view.identity()) <= 1e-12
+        assert norm(view.compress(p.element) - identity(view.shape)) <= 1e-12
 
     def test_nonzero_spectrum_matches_ambient(self, rng):
         # projection from contours of a well-separated element
         a = diag_element(M2_M1, [1.0, 3.0], [5.0])
-        p = riesz_element(a, center=1.0, radius=1.0)
-        p = ProjectionElement(p.element + riesz_element(a, 5.0, 1.0).element)
+        p1, p5 = (ProjectionElement(Element(a.shape, settle(blocks)))
+                  for blocks in riesz_values(a, [1.0, 5.0], 1.0))
+        p = ProjectionElement(p1.element + p5.element)
         view = compressed_view(p)
         for _ in range(20):
             x = random_element(M2_M1, rng)
@@ -262,7 +248,7 @@ class TestProjectionElement:
     def test_orthogonal_sum_is_projection(self):
         p = ProjectionElement(diag_element(M3, [1.0, 0.0, 0.0]))
         q = ProjectionElement(diag_element(M3, [0.0, 1.0, 0.0]))
-        total = p + q
+        total = ProjectionElement(p.element + q.element)
         assert norm(total.element - diag_element(M3, [1.0, 1.0, 0.0])) == 0.0
 
 
@@ -322,7 +308,7 @@ class TestSpectrumCache:
             spectral_gap(a, tols)
             assert multiplicity_riesz(a, 1.0, tols=tols) == 1
             assert multiplicity_riesz(a, 3.0, tols=tols) == 1
-            riesz_element(a, 3.0, 1.0)
+            settle(riesz_values(a, [3.0], 1.0)[0])
         assert len(calls) == len(a.blocks)
 
     def test_spectrum_cached_per_tolerances(self):

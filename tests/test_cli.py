@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 import specrank.cli as cli
-from specrank.algebra import Element, INFINITE_SOCLE, ViewError
+from specrank.algebra import AlgebraShape, Element, INFINITE_SOCLE, ViewError
 from specrank.charpoly import DiagonalizationError
 from specrank.config import DEFAULT_TOLS
 from specrank.cli import main
+from specrank.jsonio import pair_to_complex
+from specrank.numkernel import SpecrankError
 from specrank.rank import IllConditionedError
 from specrank.propsuite import PROPERTY_NAMES
 from conftest import make_rng
@@ -189,6 +191,22 @@ class TestCheck:
         err = capsys.readouterr().err
         assert "UncertifiedRankError: rank 2 above oracle 1" in err
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1: the graded diag(1e10, 0.5) "
+                       "certifies the wrong rank 1 with det(a + 1) = 1e10 + 1")
+    def test_graded_diag_1e10_fails_or_is_exact(self):
+        # the exact rank is 2 and det(a + 1) = 1.5 (1e10 + 1); a typed error
+        # is an honest outcome, a certified rank 1 is a silently wrong one
+        a = Element(AlgebraShape(dims=(2,)), (np.diag([1e10, 0.5]),))
+        exact = 1.5e10 + 1.5
+        for seed in range(5):
+            try:
+                report = cli._analyze(a, cli._rng(seed), DEFAULT_TOLS)
+            except SpecrankError:
+                continue
+            assert report["rank"]["rank"] == 2
+            det1 = pair_to_complex(report["det_plus_one"])
+            assert abs(det1 - exact) <= DEFAULT_TOLS.identity_rel * exact
+
     def test_every_typed_error_exits_numeric(self, tmp_path, monkeypatch, capsys):
         element_file = write_element_file(tmp_path / "a.json", [1.0, 0.0])
         for error in (DiagonalizationError("no resolution"),
@@ -360,6 +378,13 @@ BAD_INPUTS = {
     "gen_maximal_eigs_not_complex": ["gen", "--dims", "2", "--maximal-eigs", "1,x"],
     "check_block_not_square": ["check", {"dims": [2], "blocks": [
         [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]]]}],
+    # a fractional dimension is not truncated: 2.7 is not a 2x2 block
+    "check_dims_fractional": ["check", {"dims": [2.7], "blocks": [
+        [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]]]}],
+    "check_dims_bool": ["check", {"dims": [True], "blocks": [[[[1.0, 0.0]]]]}],
+    # a string or a bool is not a number: ["2", true] is not 2+1i
+    "check_entry_string_and_bool": ["check", {"dims": [1], "blocks": [[[["2", True]]]]}],
+    "check_entry_beyond_float_range": ["check", {"dims": [1], "blocks": [[[[10 ** 400, 0]]]]}],
 }
 
 

@@ -18,7 +18,7 @@ import specrank.numkernel as numkernel
 from specrank.algebra import AlgebraShape
 from specrank.config import DEFAULT_TOLS
 from specrank.numkernel import ClusteredSpectrum, NonFiniteError, cluster
-from conftest import make_rng
+from conftest import cluster_one, make_rng
 
 
 def reference_cluster(values, tol):
@@ -113,7 +113,7 @@ def test_rows_match_one_row_calls():
     rng = make_rng(3)
     rows = random_rows(rng, 6, 12, zeros=5)
     tols = [1e-8, 0.3, 1e-8, 0.5, 2.0, 1e-12]
-    assert cluster(rows, tols) == [cluster(r, t) for r, t in zip(rows, tols)]
+    assert cluster(rows, tols) == [cluster_one(r, t) for r, t in zip(rows, tols)]
 
 
 def test_pairs_at_tolerance_within_ulps():
@@ -203,8 +203,8 @@ def test_empty_and_single_value_rows():
         ClusteredSpectrum(points=(), tol=t) for t in (1e-8, 1.0, 0.5)]
     assert cluster(np.empty((0, 4)), []) == []
     assert_rows_match([[2.0 - 1.0j], [-0.0 - 0.0j], [1e300]], [1e-8, 1e-8, 1e-8])
-    assert bits(cluster([], 1e-8)) == bits(reference_cluster([], 1e-8))
-    assert bits(cluster([-0.0j], 1e-8)) == bits(reference_cluster([-0.0j], 1e-8))
+    assert bits(cluster_one([], 1e-8)) == bits(reference_cluster([], 1e-8))
+    assert bits(cluster_one([-0.0j], 1e-8)) == bits(reference_cluster([-0.0j], 1e-8))
 
 
 @pytest.mark.parametrize("bad, match", [
@@ -223,7 +223,7 @@ def test_overflowing_rows_raise_the_same_error(bad, match):
     for rows in ([mean, distance], [distance, mean]):
         assert_rows_match(rows, tols)
     with pytest.raises(NonFiniteError, match=match):
-        cluster(bad, 1e300)
+        cluster_one(bad, 1e300)
     # a difference with an infinite component is a far pair, not an error
     got, error = assert_rows_match([[1e308, -1e308, 1.0]], [1e300])
     assert error is None and len(got[0][0]) == 3
@@ -239,7 +239,7 @@ def test_one_tolerance_per_row():
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_round_spectra_raise_the_first_rows_error():
     """``algebra._spectra_of`` clusters a round in one call, yet raises what
-    the rows' own ``_spectrum_of`` calls would raise first, in row order."""
+    the rows' own calls would raise first, in row order."""
     shape = AlgebraShape(dims=(2,))
     radius = [1.5e308 + 1.5e308j, 1.0]  # |v| overflows: no tau
     distance = [1.5e308, -1.5e308j]  # finite |v|, overflowing distance
@@ -248,8 +248,8 @@ def test_round_spectra_raise_the_first_rows_error():
     def first_error(rows):
         for row in rows:
             try:
-                algebra._spectrum_of(np.array(row, dtype=np.complex128), shape,
-                                     DEFAULT_TOLS)
+                algebra._spectra_of(np.array([row], dtype=np.complex128), shape,
+                                    DEFAULT_TOLS)
             except NonFiniteError as exc:
                 return str(exc)
 

@@ -12,9 +12,9 @@ from specrank.charpoly import (CharPoly, det_plus_one, residual_scale,
                                weighted_sum)
 from specrank.cli import main
 from specrank.jsonio import matrix_to_rows, pair_to_complex
-from specrank.numkernel import (ContourError, NonFiniteError, cluster,
-                                frobenius, frobenius_stack, riesz_projection)
-from conftest import make_rng
+from specrank.numkernel import (ContourError, NonFiniteError, frobenius,
+                                frobenius_stack)
+from conftest import cluster_one, make_rng, project
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -137,18 +137,18 @@ def test_spectral_radius_overflow():
 def test_cluster_distance_overflow():
     # |1.5e308 + 1.5e308j| overflows although both components are finite
     with pytest.raises(NonFiniteError, match="distance"):
-        cluster([1.5e308, -1.5e308j], 1e-9)
+        cluster_one([1.5e308, -1.5e308j], 1e-9)
 
 
 def test_cluster_mean_overflow():
     with pytest.raises(NonFiniteError, match="cluster mean"):
-        cluster([1.5e308, 1.5e308 * (1 + 1e-12)], 1e300)
+        cluster_one([1.5e308, 1.5e308 * (1 + 1e-12)], 1e300)
 
 
 def test_nonfinite_projector_is_contour_error():
     m = np.diag([1.5e308, 1.0]).astype(np.complex128)
     with pytest.raises(ContourError, match="non-finite"):
-        riesz_projection(m, 1.5e308, 7e307)
+        project(m, 1.5e308, 7e307)
 
 
 def test_residual_scale_overflow():

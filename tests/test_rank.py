@@ -7,12 +7,11 @@ from specrank.algebra import (AlgebraShape, Element, ProjectionElement,
                               identity, norm, random_element,
                               random_socle_element, spectrum, zero)
 from specrank.charpoly import diagonalize_maximal
-from specrank.config import Tolerances
 from specrank.numkernel import SpecrankError
 from specrank.rank import (IllConditionedError, UncertifiedRankError,
-                           _well_conditioned_similarity, assumes_rank_at,
-                           is_maximal, make_maximal, rank_oracle,
-                           require_certified, spectral_rank)
+                           _well_conditioned_similarity, is_maximal,
+                           make_maximal, rank_oracle, require_certified,
+                           spectral_rank)
 from conftest import make_rng
 
 M3 = AlgebraShape(dims=(3,))
@@ -93,34 +92,37 @@ class TestSpectralRank:
 
 
 class TestAssumesRankAt:
+    """``a`` assumes its rank at ``x`` when ``x*a`` is maximal under ``a``'s
+    certificate: ``is_maximal(x * a, cert)``."""
+
     def test_zero_witness_fails_for_nonzero_element(self, rng):
         a = diag_element(M3, [1.0, 0.0, 0.0])
         cert = spectral_rank(a, rng=rng)
-        assert not assumes_rank_at(a, zero(M3), cert)
+        assert not is_maximal(zero(M3) * a, cert)
 
     def test_identity_attains_for_maximal(self, rng):
         a = diag_element(M3, [1.0, 0.0, 0.0])
         cert = spectral_rank(a, rng=rng)
-        assert assumes_rank_at(a, identity(M3), cert)
+        assert is_maximal(identity(M3) * a, cert)
 
     def test_random_witness_generically_attains(self):
         rng = make_rng(54)
         a = random_socle_element(M3_M2, (2, 1), rng)
         cert = spectral_rank(a, rng=rng)
-        hits = sum(assumes_rank_at(a, random_element(M3_M2, rng), cert)
+        hits = sum(is_maximal(random_element(M3_M2, rng) * a, cert)
                    for _ in range(100))
         assert hits >= 99
 
-    def test_uncertified_rank_is_rejected(self, rng):
+    def test_uncertified_rank_is_rejected(self, rng, monkeypatch):
         # a cluster floor above every sampled value classifies all spectral
         # points as zero, so the sampled count stays below the oracle
-        coarse = Tolerances(cluster_floor=100.0)
+        monkeypatch.setattr(config, "CLUSTER_FLOOR", 100.0)
         a = diag_element(AlgebraShape(dims=(2,)), [1.0, 1.4])
-        cert = spectral_rank(a, rng=rng, tols=coarse)
+        cert = spectral_rank(a, rng=rng)
         assert not cert.certified
         assert cert.samples_used == 32  # escalation exhausted
         with pytest.raises(UncertifiedRankError):
-            assumes_rank_at(a, identity(a.shape), cert, coarse)
+            is_maximal(identity(a.shape) * a, cert)
         with pytest.raises(UncertifiedRankError, match="rank 0 below oracle 2"):
             require_certified(cert)
 
@@ -131,7 +133,7 @@ class TestAssumesRankAt:
         cert = spectral_rank(a, rng=rng)
         assert (cert.rank, cert.oracle_rank, cert.certified) == (2, 1, False)
         with pytest.raises(UncertifiedRankError, match="rank 2 above oracle 1"):
-            assumes_rank_at(a, identity(a.shape), cert)
+            is_maximal(identity(a.shape) * a, cert)
 
 
 class TestIsMaximal:

@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from specrank import config
-from specrank.algebra import (AlgebraShape, Element, ProjectionElement,
-                              riesz_element, zero)
+from specrank.algebra import AlgebraShape, Element, ProjectionElement, zero
 from specrank.charpoly import diagonalize_maximal
 from specrank.config import DEFAULT_TOLS
 from specrank.multiplicity import multiplicity_riesz
@@ -18,8 +17,10 @@ from specrank.rank import spectral_rank
 from conftest import make_rng
 
 M3 = AlgebraShape(dims=(3,))
-# spectral gap 1, so multiplicity_riesz at 1 integrates over radius 0.5
+# spectral gap 1, so multiplicity_riesz and diagonalize_maximal at 1
+# integrate over radius 0.5
 A = Element(M3, (np.diag([1.0, 0.0, 0.0]),))
+A_CERT = spectral_rank(A, rng=make_rng(0))
 
 
 def _outcome(route) -> str:
@@ -30,8 +31,8 @@ def _outcome(route) -> str:
     return "ok"
 
 
-def _routes(radius) -> tuple[str, str]:
-    return (_outcome(lambda: riesz_element(A, 1.0, radius)),
+def _routes() -> tuple[str, str]:
+    return (_outcome(lambda: diagonalize_maximal(A, A_CERT)),
             _outcome(lambda: multiplicity_riesz(A, 1.0)))
 
 
@@ -47,9 +48,9 @@ def _routes(radius) -> tuple[str, str]:
         "projection_trace-1e-12-base3"])
 def test_contour_setting_reaches_both_routes(monkeypatch, name, value, step_rel):
     monkeypatch.setattr(config, "SIGN_STEP_REL", step_rel)
-    assert _routes(0.5) == ("ok", "ok")
+    assert _routes() == ("ok", "ok")
     monkeypatch.setattr(config, name, value)
-    element_route, count_route = _routes(0.5)
+    element_route, count_route = _routes()
     assert element_route.startswith("ContourError")
     assert element_route == count_route
 
@@ -69,14 +70,15 @@ def test_contour_projectors_checked_under_their_tols(monkeypatch):
     # projector element pass or fail together under one PROJECTION_IDEM
     monkeypatch.setattr(config, "SIGN_STEP_REL", 0.2)
     with pytest.raises(ContourError, match="p\\^2 - p"):
-        riesz_element(A, 1.0, 0.5)
+        diagonalize_maximal(A, A_CERT)
     monkeypatch.setattr(config, "PROJECTION_IDEM", 1e-3)
     monkeypatch.setattr(config, "PROJECTION_TRACE", 1e-3)
-    assert riesz_element(A, 1.0, 0.5).element.blocks[0][0, 0] == pytest.approx(1.0)
     assert multiplicity_riesz(A, 1.0) == 1
     # a projector off by 2e-5 has rank 1 only at a rank cutoff above that
-    b = Element(M3, (np.diag([1.0, 2.0, 0.0]),))
     tols = replace(DEFAULT_TOLS, rank_rel=1e-3)
+    ((_, p),) = diagonalize_maximal(A, spectral_rank(A, rng=make_rng(3), tols=tols), tols)
+    assert p.element.blocks[0][0, 0] == pytest.approx(1.0)
+    b = Element(M3, (np.diag([1.0, 2.0, 0.0]),))
     pairs = diagonalize_maximal(b, spectral_rank(b, rng=make_rng(3), tols=tols), tols)
     assert [v for v, _ in pairs] == [1.0, 2.0]
 
